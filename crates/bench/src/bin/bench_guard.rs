@@ -4,12 +4,10 @@
 //! bench_guard BASELINE.json CURRENT.json [--factor F]
 //!             [--overhead-factor G] [--overhead-slack S]
 //!             [--sharded SWEEP.json] [--sharded-factor H]
-//!             [--openloop SWEEP.json] [--openloop-factor K]
 //! bench_guard --sharded SWEEP.json            # sharded gate alone
-//! bench_guard --openloop SWEEP.json           # open-loop gate alone
 //! ```
 //!
-//! Five gates:
+//! Four gates:
 //!
 //! * **Regression** — compares `stats.expand_p99_us` between the committed
 //!   baseline and a fresh `reproduce serve` run, exiting non-zero when the
@@ -31,15 +29,6 @@
 //!   a self-relative scaling check — robust to host speed — and it keeps
 //!   the sharded tier from quietly collapsing back to a routing veneer
 //!   over one engine.
-//! * **Open-loop overload** (enabled by `--openloop`) — reads a fresh
-//!   `reproduce serve-openloop` sweep and requires the adaptive admission
-//!   plane to have held its served first-paint p99 inside the SLO target
-//!   (`openloop_adaptive_p99_us ≤ openloop_slo_target_us`) at an arrival
-//!   rate at least `K ×` the static-cap knee (default 1.45, just under
-//!   the 1.5× the sweep aims for, so float noise cannot flake the gate).
-//!   Like the sharded gate it is self-relative — the knee and the
-//!   adaptive rate come from the same file and machine — so it keeps the
-//!   AIMD controller from quietly degenerating into the static cap.
 //!
 //! Kept deliberately free of a JSON tree type: the vendored serde_json is
 //! serialize-first, so the fields we gate on are scanned out of the text.
@@ -75,8 +64,6 @@ fn main() -> ExitCode {
     let mut overhead_slack = 100.0f64;
     let mut sharded: Option<String> = None;
     let mut sharded_factor = 2.0f64;
-    let mut openloop: Option<String> = None;
-    let mut openloop_factor = 1.45f64;
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
@@ -130,26 +117,6 @@ fn main() -> ExitCode {
                     }
                 };
             }
-            "--openloop" => {
-                i += 1;
-                openloop = match argv.get(i) {
-                    Some(p) => Some(p.clone()),
-                    None => {
-                        eprintln!("error: --openloop needs a SWEEP.json path");
-                        return ExitCode::from(2);
-                    }
-                };
-            }
-            "--openloop-factor" => {
-                i += 1;
-                openloop_factor = match argv.get(i).and_then(|v| v.parse().ok()) {
-                    Some(f) if f > 0.0 => f,
-                    _ => {
-                        eprintln!("error: --openloop-factor needs a positive number");
-                        return ExitCode::from(2);
-                    }
-                };
-            }
             other => paths.push(other.to_string()),
         }
         i += 1;
@@ -179,47 +146,6 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        if paths.is_empty() && openloop.is_none() {
-            println!("bench_guard: ok");
-            return ExitCode::SUCCESS;
-        }
-    }
-    // The open-loop gate is likewise self-contained: knee, adaptive rate,
-    // adaptive p99, and the SLO target all come from the one sweep file.
-    if let Some(sweep) = &openloop {
-        let fields = [
-            "openloop_slo_target_us",
-            "openloop_knee_rate_per_sec",
-            "openloop_adaptive_rate_per_sec",
-            "openloop_adaptive_p99_us",
-        ];
-        let mut vals = [0.0f64; 4];
-        for (slot, key) in vals.iter_mut().zip(fields) {
-            match load_field(sweep, key) {
-                Ok(v) => *slot = v,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        let [target, knee, rate, p99] = vals;
-        let rate_bound = knee * openloop_factor;
-        println!(
-            "bench_guard: open-loop — knee {knee:.0}/s, adaptive rate {rate:.0}/s (bound {rate_bound:.0}/s, {openloop_factor:.2}×), served p99 {p99:.0} µs (SLO {target:.0} µs)"
-        );
-        if rate < rate_bound {
-            eprintln!(
-                "bench_guard: FAIL — the adaptive rung ran below {openloop_factor:.2}× the static-cap knee"
-            );
-            return ExitCode::FAILURE;
-        }
-        if p99 > target {
-            eprintln!(
-                "bench_guard: FAIL — adaptive admission let the served first-paint p99 leave the SLO past the knee"
-            );
-            return ExitCode::FAILURE;
-        }
         if paths.is_empty() {
             println!("bench_guard: ok");
             return ExitCode::SUCCESS;
@@ -229,8 +155,7 @@ fn main() -> ExitCode {
         eprintln!(
             "usage: bench_guard BASELINE.json CURRENT.json [--factor F] \
              [--overhead-factor G] [--overhead-slack S] \
-             [--sharded SWEEP.json] [--sharded-factor H] \
-             [--openloop SWEEP.json] [--openloop-factor K]"
+             [--sharded SWEEP.json] [--sharded-factor H]"
         );
         return ExitCode::from(2);
     };
@@ -361,40 +286,6 @@ mod tests {
             Some(250.0)
         );
         assert_eq!(extract_number(doc, "sharded_sessions_per_sec_8"), None);
-    }
-
-    #[test]
-    fn openloop_gate_keys_scan_past_the_rung_rows() {
-        // BENCH_openloop.json carries a `rungs` array with bare
-        // `rate_per_sec` / `served_p99_us` fields; the `openloop_`-prefixed
-        // flat keys must land on the top-level gate inputs only.
-        let doc = r#"{
-            "rungs": [
-                { "gate": "static", "rate_per_sec": 400.0, "served_p99_us": 250000 },
-                { "gate": "adaptive", "rate_per_sec": 600.0, "served_p99_us": 52000 }
-            ],
-            "openloop_slo_target_us": 100000.0,
-            "openloop_knee_rate_per_sec": 400.0,
-            "openloop_adaptive_rate_per_sec": 600.0,
-            "openloop_adaptive_p99_us": 52000.0
-        }"#;
-        assert_eq!(
-            extract_number(doc, "openloop_slo_target_us"),
-            Some(100000.0)
-        );
-        assert_eq!(
-            extract_number(doc, "openloop_knee_rate_per_sec"),
-            Some(400.0)
-        );
-        assert_eq!(
-            extract_number(doc, "openloop_adaptive_rate_per_sec"),
-            Some(600.0)
-        );
-        assert_eq!(
-            extract_number(doc, "openloop_adaptive_p99_us"),
-            Some(52000.0)
-        );
-        assert_eq!(extract_number(doc, "openloop_missing"), None);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! reproduce [EXPERIMENT] [--scale S] [--k K]
 //!
 //! EXPERIMENT: all (default) | table1 | fig8 | fig9 | fig10 | fig11 | intro | multi | serve |
-//!             serve-sharded | serve-openloop | ablation-opt | ablation-k |
+//!             serve-sharded | ablation-opt | ablation-k |
 //!             ablation-expandcost | ablation-planner | ablation-reuse
 //! --scale S:  workload scale, 0 < S ≤ 1 (default 1.0 = paper scale)
 //! --k K:      Heuristic-ReducedOpt partition budget (default 10)
@@ -13,15 +13,13 @@
 //! --workers W: serving-bench worker threads (default: available parallelism)
 //! --rounds R: serving-bench replays per query (default 3)
 //! --out PATH: where the serving bench writes its telemetry JSON
-//!             (default BENCH_serve.json; BENCH_sharded.json for serve-sharded,
-//!             BENCH_openloop.json for serve-openloop)
+//!             (default BENCH_serve.json; BENCH_sharded.json for serve-sharded)
 //!
-//! `serve-sharded` (the 1/2/4/8-shard scaling sweep) and `serve-openloop`
-//! (the Poisson overload sweep that finds the static-cap knee and proves
-//! the adaptive admission plane holds the SLO past it) are *not* included
-//! in `all`: both replay the serving workload many times over, which
-//! would dominate the cheap CI pass. CI runs them explicitly in the
-//! bench-guard step.
+//! `serve-sharded` (the 1/2/4/8-shard scaling sweep) is *not* included in
+//! `all`: it replays the serving workload many times over, which would
+//! dominate the cheap CI pass. CI runs it explicitly in the bench-guard
+//! step. Overload behaviour over the wire is measured by
+//! `wirebench --workload overload` (see `wirebench/README.md`).
 //! ```
 //!
 //! Exits non-zero when any shape check fails, so CI can gate on the
@@ -128,7 +126,7 @@ fn main() -> ExitCode {
                 eprintln!("error: {msg}\n");
             }
             eprintln!(
-                "usage: reproduce [all|table1|fig8|fig9|fig10|fig11|intro|multi|serve|serve-sharded|serve-openloop|ablation-opt|ablation-k|ablation-expandcost|ablation-planner|ablation-reuse] [--scale S] [--k K] [--crawled] [--workers W] [--rounds R] [--out PATH]"
+                "usage: reproduce [all|table1|fig8|fig9|fig10|fig11|intro|multi|serve|serve-sharded|ablation-opt|ablation-k|ablation-expandcost|ablation-planner|ablation-reuse] [--scale S] [--k K] [--crawled] [--workers W] [--rounds R] [--out PATH]"
             );
             return if msg == "help" {
                 ExitCode::SUCCESS
@@ -217,27 +215,6 @@ fn main() -> ExitCode {
         ));
     }
     // Exact name only — see the module docs for why `all` skips it.
-    if args.experiment == "serve-openloop" {
-        let w = workload.as_ref().unwrap();
-        // Driver threads, not solver workers: the open-loop harness needs
-        // enough of them that a slow server can't throttle the arrival
-        // schedule (that would be the coordinated omission the bench
-        // exists to avoid).
-        let workers = args
-            .workers
-            .unwrap_or_else(|| (bionav_bench::default_workers(usize::MAX) * 4).clamp(8, 64));
-        let out = if args.out == "BENCH_serve.json" {
-            "BENCH_openloop.json".to_string()
-        } else {
-            args.out.clone()
-        };
-        checks.push(experiments::serve_openloop(
-            w,
-            &params,
-            workers,
-            Some(std::path::Path::new(&out)),
-        ));
-    }
     if args.experiment == "serve-sharded" {
         let w = workload.as_ref().unwrap();
         let workers = args

@@ -1535,546 +1535,6 @@ pub fn serve_sharded(
     check
 }
 
-// ---------------------------------------------------------------------------
-// Open-loop overload bench
-// ---------------------------------------------------------------------------
-
-/// Shards the open-loop tier runs with: enough to exercise the per-shard
-/// admission controllers without splitting CI's modest core budget thin.
-const OPENLOOP_SHARDS: usize = 2;
-
-/// Sessions each sweep rung aims to offer (sets the rung duration).
-const OPENLOOP_SESSIONS_PER_RUNG: f64 = 400.0;
-
-/// Rate-ladder rungs before the knee search gives up.
-const OPENLOOP_MAX_RUNGS: usize = 6;
-
-/// One rung of the open-loop sweep (`BENCH_openloop.json`).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct OpenLoopRungRow {
-    /// Which admission gate served the rung: `"static"` or `"adaptive"`.
-    pub gate: String,
-    /// Offered Poisson arrival rate, sessions/sec.
-    pub rate_per_sec: f64,
-    /// Sessions the schedule offered.
-    pub offered: usize,
-    /// Sessions served to first paint (open + first EXPAND).
-    pub served: usize,
-    /// Sessions the tier shed (admission, deadline, or breaker).
-    pub shed: usize,
-    /// Coordinated-omission-safe first-paint p99 (µs) over served
-    /// sessions, measured from each session's *intended* arrival.
-    pub served_p99_us: u64,
-    /// Engine-side EXPAND p99 (µs) for the rung window — what the AIMD
-    /// controller actually watches (service + lock waits, no driver
-    /// queueing).
-    pub engine_expand_p99_us: f64,
-    /// Engine-side typed shed counters for the rung window.
-    pub shed_expands: u64,
-    /// Requests rejected with an expired end-to-end deadline.
-    pub deadline_rejects: u64,
-    /// Sum of per-shard AIMD admission limits when the rung closed.
-    pub admission_limit: u64,
-}
-
-/// `BENCH_openloop.json`: the sweep plus flat `openloop_*` keys for
-/// `bench_guard --openloop` (same text-scan convention as the other
-/// reports).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-#[allow(missing_docs)] // field names are the wire format; the row docs cover them
-pub struct OpenLoopReport {
-    pub workers: usize,
-    pub shards: usize,
-    pub calibrated_session_us: f64,
-    pub capacity_est_per_sec: f64,
-    pub admission_target_us: f64,
-    pub rungs: Vec<OpenLoopRungRow>,
-    pub openloop_slo_target_us: f64,
-    pub openloop_knee_rate_per_sec: f64,
-    pub openloop_adaptive_rate_per_sec: f64,
-    pub openloop_adaptive_p99_us: f64,
-    pub openloop_adaptive_served: f64,
-    pub openloop_adaptive_shed_fraction: f64,
-}
-
-/// Replays one open-loop schedule against the tier: `workers` threads pull
-/// sessions in intended-arrival order, sleep until each session's intended
-/// instant (never earlier — but a late pickup is *not* excused: latency is
-/// measured from the intended instant either way, which is what makes the
-/// recording coordinated-omission-safe), then walk the session's Markov
-/// steps. First paint is the completion of the opening EXPAND; a typed
-/// rejection (admission, deadline, breaker) anywhere on the way there
-/// marks the session shed.
-fn drive_open_loop<B>(
-    tier: &bionav_core::ShardedEngine<B>,
-    plans: &[bionav_workload::SessionPlan],
-    workers: usize,
-    deadline_budget_ns: u64,
-) -> Vec<bionav_workload::SessionOutcome>
-where
-    B: Fn(&str) -> Option<bionav_core::SharedTree> + Send + Sync,
-{
-    use bionav_core::trace::flightrec::{self, RequestCtx, Verb};
-    use bionav_core::trace::now_ns;
-    use bionav_workload::{SessionOp, SessionOutcome};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let t0 = now_ns();
-    let next = AtomicUsize::new(0);
-    let outcomes: Mutex<Vec<Option<SessionOutcome>>> = Mutex::new(vec![None; plans.len()]);
-    std::thread::scope(|scope| {
-        for _ in 0..workers.max(1) {
-            scope.spawn(|| loop {
-                // Relaxed: the counter is the only shared state the claim
-                // touches; plan payloads are read-only behind the scope.
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(plan) = plans.get(i) else { break };
-                let intended = t0 + plan.intended_start_ns;
-                loop {
-                    let now = now_ns();
-                    if now >= intended {
-                        break;
-                    }
-                    let wait = (intended - now).min(2_000_000);
-                    std::thread::sleep(Duration::from_nanos(wait));
-                }
-                let deadline_ns = if deadline_budget_ns == 0 {
-                    0
-                } else {
-                    intended + deadline_budget_ns
-                };
-                let ctx = || RequestCtx {
-                    request_id: flightrec::mint_request_id(),
-                    session: None,
-                    deadline_ns,
-                };
-
-                let mut shed = false;
-                let mut first_paint = None;
-                let opened = {
-                    let _scope = flightrec::request_scope(ctx(), Verb::Open);
-                    tier.open_session(&plan.query)
-                };
-                match opened {
-                    Err(_) => shed = true,
-                    Ok(id) => {
-                        let mut frontier = vec![NavNodeId::ROOT];
-                        let mut last_revealed: Option<NavNodeId> = None;
-                        'steps: for (si, step) in plan.steps.iter().enumerate() {
-                            if step.think_ns > 0 {
-                                std::thread::sleep(Duration::from_nanos(step.think_ns));
-                            }
-                            match step.op {
-                                SessionOp::Expand => {
-                                    let mut attempts = 0;
-                                    while let Some(node) = frontier.pop() {
-                                        attempts += 1;
-                                        let reply = {
-                                            let _scope =
-                                                flightrec::request_scope(ctx(), Verb::Expand);
-                                            tier.expand(id, node)
-                                        };
-                                        match reply {
-                                            Ok(r) => {
-                                                last_revealed = r.revealed.first().copied();
-                                                frontier.extend(r.revealed.iter().rev());
-                                                break;
-                                            }
-                                            // A leaf or singleton component:
-                                            // try the next frontier node.
-                                            Err(bionav_core::EngineError::Cut(_))
-                                                if attempts < 8 => {}
-                                            Err(_) => {
-                                                if si == 0 {
-                                                    shed = true;
-                                                }
-                                                if si == 0 {
-                                                    first_paint = Some(now_ns());
-                                                }
-                                                break 'steps;
-                                            }
-                                        }
-                                    }
-                                    if si == 0 {
-                                        first_paint = Some(now_ns());
-                                    }
-                                }
-                                SessionOp::Explore => {
-                                    if let Some(node) = last_revealed {
-                                        let _ = tier.with_session(id, |s| s.show_results(node));
-                                    }
-                                }
-                            }
-                        }
-                        let _ = tier.close_session(id);
-                    }
-                }
-                let done_ns = first_paint
-                    .unwrap_or_else(now_ns)
-                    .saturating_sub(t0)
-                    .max(plan.intended_start_ns);
-                // lint: allow(no-unwrap) — driver thread; poisoning aborts the bench loudly
-                outcomes.lock().unwrap()[i] = Some(SessionOutcome {
-                    intended_ns: plan.intended_start_ns,
-                    done_ns,
-                    shed,
-                });
-            });
-        }
-    });
-    // lint: allow(no-unwrap) — every slot was filled by the claiming worker
-    outcomes
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|o| o.expect("every planned session produced an outcome"))
-        .collect()
-}
-
-/// The open-loop overload bench (DESIGN.md §5k): sweep Poisson arrival
-/// rates against a [`bionav_core::ShardedEngine`] tier under the PR-7
-/// *static* in-flight cap until its coordinated-omission-safe first-paint
-/// p99 blows the `open` SLO — the **knee** — then rerun at ≥ 1.5× the knee
-/// with the *adaptive* plane on (AIMD admission + end-to-end deadlines)
-/// and require the served p99 to stay inside the SLO, with the overflow
-/// shed as typed rejections instead of served late. Sub-knee correctness:
-/// both gate configurations replay the Table I oracle scripts with
-/// bit-identical per-query costs.
-pub fn serve_openloop(
-    workload: &Workload,
-    params: &CostParams,
-    workers: usize,
-    out: Option<&std::path::Path>,
-) -> ShapeCheck {
-    use bionav_core::engine::Engine;
-    use bionav_core::trace::now_ns;
-    use bionav_core::{DegradePolicy, ShardedEngine, SloVerb};
-    use bionav_workload::{served_p99_us, shed_fraction, OpenLoopConfig};
-    use std::sync::Arc;
-
-    let mut check = ShapeCheck::new("serve-openloop");
-    let slo_target_ns = bionav_core::slo::slo_for(SloVerb::Open).target_p99_ns;
-    let slo_target_us = slo_target_ns as f64 / 1_000.0;
-
-    let make_tier = |policy: DegradePolicy| {
-        ShardedEngine::new(OPENLOOP_SHARDS, |_| {
-            Engine::new(
-                |query: &str| {
-                    let outcome = workload.index.query(query);
-                    if outcome.citations.is_empty() {
-                        return None;
-                    }
-                    Some(Arc::new(NavigationTree::build(
-                        &workload.hierarchy,
-                        &workload.store,
-                        &outcome.citations,
-                    )))
-                },
-                params.clone(),
-                workload.queries.len().max(1),
-            )
-            .with_policy(policy)
-        })
-    };
-    let static_policy = DegradePolicy::default();
-
-    // Warm each tier (every query's tree cached) so the sweep measures
-    // solver work, not cold builds.
-    let warm = |tier: &ShardedEngine<_>| {
-        for q in &workload.queries {
-            if let Ok(id) = tier.open_session(&q.spec.keywords) {
-                let _ = tier.close_session(id);
-            }
-        }
-        tier.reset_stats();
-    };
-    let tier_static = make_tier(static_policy);
-    warm(&tier_static);
-
-    // Calibrate: sequential first-paint-to-close service time on the warm
-    // static tier seeds the rate ladder (the ladder crossing, not this
-    // estimate, decides the knee).
-    let base_cfg = OpenLoopConfig {
-        seed: 0x09_1CDE,
-        arrival_rate_per_sec: 1.0, // overwritten per rung
-        duration_ns: 0,            // overwritten per rung
-        zipf_s: 1.0,
-        expand_continue: 0.6,
-        explore_bias: 0.3,
-        think_mean_ns: 1_000_000,
-    };
-    // The generator emits Table I query *names*; the serving index is keyed
-    // by the spec *keywords* (case and spacing differ for some queries), so
-    // translate every plan before driving — a missed lookup would
-    // masquerade as a shed session and pollute the overload counts.
-    let keywords_of: std::collections::HashMap<String, String> = workload
-        .queries
-        .iter()
-        .map(|q| (q.spec.name.clone(), q.spec.keywords.clone()))
-        .collect();
-    let translate = |mut plans: Vec<bionav_workload::SessionPlan>| {
-        for p in &mut plans {
-            if let Some(kw) = keywords_of.get(&p.query) {
-                p.query = kw.clone();
-            }
-        }
-        plans
-    };
-    let cal_plans = translate(bionav_workload::openloop::generate(&OpenLoopConfig {
-        arrival_rate_per_sec: 50.0,
-        duration_ns: 600_000_000,
-        think_mean_ns: 0,
-        ..base_cfg.clone()
-    }));
-    let cal_n = cal_plans.len().clamp(1, 30);
-    let cal_t0 = now_ns();
-    for plan in cal_plans.iter().take(cal_n) {
-        if let Ok(id) = tier_static.open_session(&plan.query) {
-            let mut frontier = vec![NavNodeId::ROOT];
-            for step in &plan.steps {
-                if step.op == bionav_workload::SessionOp::Expand {
-                    if let Some(node) = frontier.pop() {
-                        if let Ok(r) = tier_static.expand(id, node) {
-                            frontier.extend(r.revealed.iter().rev());
-                        }
-                    }
-                }
-            }
-            let _ = tier_static.close_session(id);
-        }
-    }
-    let mean_session_ns = (now_ns().saturating_sub(cal_t0) / cal_n as u64).max(1);
-    let cores = std::thread::available_parallelism().map_or(4, usize::from);
-    // Conservative: assume half the cores do useful solver work (the rest
-    // lose to shard/session lock contention), so the first rung sits
-    // comfortably below the true knee.
-    let capacity = (cores.max(2) / 2) as f64 * 1e9 / mean_session_ns as f64;
-    tier_static.reset_stats();
-
-    // The adaptive tier targets the gradient-controller way: unloaded
-    // baseline × a tolerance factor, from *this* machine's calibration,
-    // so the AIMD gate reacts to queueing on this deployment rather than
-    // to an absolute figure sized for different hardware. Deadlines get
-    // 0.8× the SLO budget so an admitted request that completes right at
-    // its deadline still lands inside the SLO.
-    let admission_target_ns = (mean_session_ns * 2).max(100_000);
-    let deadline_budget_ns = slo_target_ns / 10 * 8;
-    let adaptive_policy = DegradePolicy {
-        adaptive_admission: true,
-        admission_target_ns,
-        ..DegradePolicy::default()
-    };
-    let tier_adaptive = make_tier(adaptive_policy);
-    warm(&tier_adaptive);
-    println!(
-        "open-loop calibration: {:.1} µs/session sequential, capacity estimate {:.0} sessions/sec ({} cores, {} drivers), AIMD target {:.0} µs",
-        mean_session_ns as f64 / 1e3,
-        capacity,
-        cores,
-        workers,
-        admission_target_ns as f64 / 1e3,
-    );
-
-    let run_rung = |tier: &ShardedEngine<_>,
-                    gate: &str,
-                    rate: f64,
-                    deadline_budget_ns: u64|
-     -> (OpenLoopRungRow, Vec<bionav_workload::SessionOutcome>) {
-        let duration_ns = ((OPENLOOP_SESSIONS_PER_RUNG / rate) * 1e9)
-            .clamp(400_000_000.0, 2_000_000_000.0) as u64;
-        let plans = translate(bionav_workload::openloop::generate(&OpenLoopConfig {
-            seed: base_cfg.seed ^ rate.to_bits(),
-            arrival_rate_per_sec: rate,
-            duration_ns,
-            ..base_cfg.clone()
-        }));
-        tier.reset_stats();
-        let outcomes = drive_open_loop(tier, &plans, workers, deadline_budget_ns);
-        let stats = tier.stats();
-        let shed = outcomes.iter().filter(|o| o.shed).count();
-        let row = OpenLoopRungRow {
-            gate: gate.to_string(),
-            rate_per_sec: rate,
-            offered: outcomes.len(),
-            served: outcomes.len() - shed,
-            shed,
-            served_p99_us: served_p99_us(&outcomes).unwrap_or(u64::MAX),
-            engine_expand_p99_us: stats.expand_p99_us,
-            shed_expands: stats.shed_expands,
-            deadline_rejects: stats.deadline_rejects,
-            admission_limit: stats.admission_limit,
-        };
-        println!(
-            "  rung {gate:>8} @ {rate:7.0}/s: offered {:4}, served {:4}, shed {:4}, served p99 {} µs (target {:.0})",
-            row.offered, row.served, row.shed, row.served_p99_us, slo_target_us,
-        );
-        (row, outcomes)
-    };
-
-    // Knee search: double the offered rate under the static cap until the
-    // served first-paint p99 leaves the SLO.
-    println!("open-loop sweep (static cap, no deadlines):");
-    let mut rungs: Vec<OpenLoopRungRow> = Vec::new();
-    let mut rate = (capacity * 0.5).max(20.0);
-    let mut knee = None;
-    let mut sub_knee_ok = false;
-    for rung in 0..OPENLOOP_MAX_RUNGS {
-        let (row, _) = run_rung(&tier_static, "static", rate, 0);
-        let violated = row.served_p99_us as f64 > slo_target_us;
-        if rung == 0 {
-            sub_knee_ok = !violated;
-        }
-        rungs.push(row);
-        if violated {
-            knee = Some(rate);
-            break;
-        }
-        rate *= 2.0;
-    }
-    let knee_rate = knee.unwrap_or(rate / 2.0);
-
-    // Adaptive plane at 1.5× the knee: AIMD admission + per-session
-    // deadlines one SLO target past the intended arrival.
-    let adaptive_rate = knee_rate * 1.5;
-    println!("open-loop rerun (adaptive admission + deadlines):");
-    let (adaptive_row, adaptive_outcomes) = run_rung(
-        &tier_adaptive,
-        "adaptive",
-        adaptive_rate,
-        deadline_budget_ns,
-    );
-    let adaptive_stats = tier_adaptive.stats();
-    rungs.push(adaptive_row.clone());
-
-    let mut t = Table::new(
-        format!("Open-loop sweep — {OPENLOOP_SHARDS} shards, {workers} driver threads"),
-        &[
-            "gate",
-            "rate/s",
-            "offered",
-            "served",
-            "shed",
-            "p99 (µs)",
-            "eng p99",
-            "ddl",
-            "adm limit",
-        ],
-    );
-    for r in &rungs {
-        t.row(vec![
-            r.gate.clone(),
-            format!("{:.0}", r.rate_per_sec),
-            r.offered.to_string(),
-            r.served.to_string(),
-            r.shed.to_string(),
-            r.served_p99_us.to_string(),
-            format!("{:.0}", r.engine_expand_p99_us),
-            r.deadline_rejects.to_string(),
-            r.admission_limit.to_string(),
-        ]);
-    }
-    t.print();
-
-    check.assert(
-        format!(
-            "calibration measured a service time ({:.1} µs/session)",
-            mean_session_ns as f64 / 1e3
-        ),
-        mean_session_ns > 0 && cal_n >= 10,
-    );
-    check.assert(
-        format!("the first static rung sits below the knee (p99 ≤ {slo_target_us:.0} µs)"),
-        sub_knee_ok,
-    );
-    check.assert(
-        format!(
-            "the rate ladder crossed the static-cap knee (knee {:.0}/s{})",
-            knee_rate,
-            if knee.is_some() { "" } else { " NOT FOUND" }
-        ),
-        knee.is_some(),
-    );
-    check.assert(
-        format!(
-            "adaptive gate holds served p99 inside the SLO at 1.5× the knee ({} µs ≤ {:.0} µs @ {:.0}/s)",
-            adaptive_row.served_p99_us, slo_target_us, adaptive_rate
-        ),
-        (adaptive_row.served_p99_us as f64) <= slo_target_us,
-    );
-    check.assert(
-        format!(
-            "adaptive gate still serves real traffic past the knee ({} served)",
-            adaptive_row.served
-        ),
-        adaptive_row.served >= 50,
-    );
-    check.assert(
-        format!(
-            "overflow is shed with typed reasons ({} sessions, {} queue, {} deadline)",
-            adaptive_row.shed, adaptive_row.shed_expands, adaptive_row.deadline_rejects
-        ),
-        adaptive_row.shed > 0 && adaptive_row.shed_expands + adaptive_row.deadline_rejects > 0,
-    );
-    check.assert(
-        format!(
-            "the AIMD controller pulled the limit below the static cap (Σ {} < Σ {})",
-            adaptive_stats.admission_limit,
-            (static_policy.max_inflight_expands * OPENLOOP_SHARDS) as u64
-        ),
-        adaptive_stats.admission_limit
-            < (static_policy.max_inflight_expands * OPENLOOP_SHARDS) as u64,
-    );
-
-    // Sub-knee correctness: the overload plane must be invisible to the
-    // planner. Fresh tiers under both gate configurations replay the
-    // Table I oracle scripts sequentially; every per-query cost triplet
-    // must be bit-identical to the single-threaded reference.
-    let (scripts, reference) = oracle_scripts(workload, params);
-    let mut identical = true;
-    for policy in [static_policy, adaptive_policy] {
-        let tier = make_tier(policy);
-        for ((query, script), expected) in scripts.iter().zip(&reference) {
-            match tier.run_script(query, script) {
-                Ok(o) => {
-                    identical &= o.cost.expands == expected.expands
-                        && o.cost.interaction_cost() == expected.interaction_cost
-                        && o.cost.total_cost() == expected.total_cost;
-                }
-                Err(_) => identical = false,
-            }
-        }
-    }
-    check.assert(
-        "sub-knee oracle costs are bit-identical under both gates",
-        identical,
-    );
-
-    if let Some(path) = out {
-        let report = OpenLoopReport {
-            workers,
-            shards: OPENLOOP_SHARDS,
-            calibrated_session_us: mean_session_ns as f64 / 1e3,
-            capacity_est_per_sec: capacity,
-            admission_target_us: admission_target_ns as f64 / 1e3,
-            openloop_slo_target_us: slo_target_us,
-            openloop_knee_rate_per_sec: knee_rate,
-            openloop_adaptive_rate_per_sec: adaptive_rate,
-            openloop_adaptive_p99_us: adaptive_row.served_p99_us as f64,
-            openloop_adaptive_served: adaptive_row.served as f64,
-            openloop_adaptive_shed_fraction: shed_fraction(&adaptive_outcomes),
-            rungs,
-        };
-        match crate::report::write_json(path, &report) {
-            Ok(()) => println!("\nwrote {}", path.display()),
-            Err(e) => println!("\nWARNING: could not write {}: {e}", path.display()),
-        }
-    }
-
-    check.print();
-    check
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

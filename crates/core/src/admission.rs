@@ -1,32 +1,19 @@
-//! Latency-driven adaptive admission control (DESIGN.md §5k).
+//! Static in-flight admission cap (DESIGN.md §5k).
 //!
-//! PR 5's admission gate was a fixed in-flight cap: it cannot tell a warm
-//! cache from a cold storm, so the operator must pick one constant that is
-//! simultaneously generous enough for steady state and tight enough for
-//! overload. [`AdmissionGate`] replaces the constant with an AIMD
-//! (additive-increase / multiplicative-decrease) controller driven by the
-//! *measured* EXPAND latency distribution:
+//! [`AdmissionGate`] counts the EXPANDs currently inside one engine (= one
+//! shard) and refuses a new one with [`ShedReason::Queue`] once the count
+//! reaches the cap. The cap is the engine's
+//! [`DegradePolicy::max_inflight_expands`](crate::engine::DegradePolicy::max_inflight_expands),
+//! passed in on every [`AdmissionGate::try_admit`]; the policy only changes
+//! under `&mut Engine`, so the gate holds no copy of it that could go
+//! stale. DESIGN.md §5k gives the measurements behind a static cap rather
+//! than an adaptive one.
 //!
-//! * every [`ADJUST_INTERVAL_NS`] one caller is elected (CAS on the last
-//!   adjustment stamp) to compare the latest latency window against the
-//!   [`Slo`](crate::slo::Slo) target p99;
-//! * if more than the 1 % error budget of the window's samples ran over
-//!   the target (i.e. the windowed p99 is above the objective), the admit
-//!   limit is halved — multiplicative decrease sheds load fast when the
-//!   shard is drowning;
-//! * otherwise the limit grows by one — additive increase probes for
-//!   headroom slowly;
-//! * the limit never drops below 1 (the shard always serves *something*,
-//!   so the controller can observe recovery) and never exceeds the
-//!   configured ceiling (the old static cap, now an upper bound instead of
-//!   the operating point).
-//!
-//! The gate is pure atomic state with the clock injected by the caller:
-//! no locks, no `Instant`, no thread-locals — which is what lets the
-//! interleave model checker explore concurrent admit/release/adjust
-//! schedules exhaustively (`tests/interleave_models.rs`).
+//! The gate is one atomic counter: no locks, no clock, no thread-locals —
+//! which is what lets the interleave model checker explore concurrent
+//! admit/release schedules exhaustively (`tests/interleave_models.rs`).
 
-use crate::sync::{AtomicU64, AtomicUsize, Ordering};
+use crate::sync::{AtomicUsize, Ordering};
 
 /// Why a request was refused before reaching the solver. The typed reason
 /// flows into the flight recorder (2-bit `shed` field), the Prometheus
@@ -65,52 +52,17 @@ impl ShedReason {
     }
 }
 
-/// Minimum spacing between AIMD adjustments. One SLO target period for the
-/// EXPAND verb (25 ms): fast enough to react within a human-visible
-/// latency budget, slow enough that each window holds a meaningful sample
-/// count at interactive rates.
-pub const ADJUST_INTERVAL_NS: u64 = 25_000_000;
-
-/// An adjustment window with fewer samples than this is ignored — a
-/// near-idle shard must not random-walk its limit on one or two outliers.
-pub const MIN_WINDOW_SAMPLES: u64 = 16;
-
-/// The AIMD admission controller for one engine (= one shard). See the
-/// module docs for the control law.
-#[derive(Debug)]
+/// The in-flight EXPAND counter for one engine (= one shard).
+#[derive(Debug, Default)]
 pub struct AdmissionGate {
-    /// Current admit limit. 0 means the gate is disabled (admit everything),
-    /// matching the old static-cap convention; when the controller is
-    /// active the limit stays in `[1, ceiling]`.
-    limit: AtomicUsize,
     /// Requests currently inside the gate.
     inflight: AtomicUsize,
-    /// Trace-clock stamp of the last AIMD step; doubles as the CAS token
-    /// electing exactly one adjuster per interval.
-    last_adjust_ns: AtomicU64,
-    /// Cumulative good-sample count at the end of the previous window.
-    base_good: AtomicU64,
-    /// Cumulative total-sample count at the end of the previous window.
-    base_total: AtomicU64,
 }
 
 impl AdmissionGate {
-    /// A gate starting at `limit` in-flight requests (0 disables the gate).
-    pub fn new(limit: usize) -> Self {
-        AdmissionGate {
-            limit: AtomicUsize::new(limit),
-            inflight: AtomicUsize::new(0),
-            last_adjust_ns: AtomicU64::new(0),
-            base_good: AtomicU64::new(0),
-            base_total: AtomicU64::new(0),
-        }
-    }
-
-    /// Current admit limit (0 = disabled).
-    pub fn limit(&self) -> usize {
-        // Relaxed: statistics/decision read; admit() tolerates a stale
-        // limit for one request.
-        self.limit.load(Ordering::Relaxed)
+    /// An empty gate.
+    pub fn new() -> Self {
+        AdmissionGate::default()
     }
 
     /// Requests currently admitted and not yet released.
@@ -119,89 +71,20 @@ impl AdmissionGate {
         self.inflight.load(Ordering::Relaxed)
     }
 
-    /// Overwrites the limit (policy changes; not part of the AIMD loop).
-    pub fn set_limit(&self, limit: usize) {
-        // Relaxed: plain control-plane store; readers act on whichever
-        // value they observe next.
-        self.limit.store(limit, Ordering::Relaxed);
-    }
-
-    /// Tries to admit one request. On success the returned guard holds the
+    /// Tries to admit one request under `limit` in-flight requests (0
+    /// disables the gate). On success the returned guard holds the
     /// in-flight slot until dropped; `None` means the caller must shed
     /// with [`ShedReason::Queue`].
-    pub fn try_admit(&self) -> Option<AdmitGuard<'_>> {
-        // Relaxed: the counter is the only shared state; the limit check
-        // is advisory (one request of overshoot is fine, the fetch_sub
-        // undoes it before returning).
+    pub fn try_admit(&self, limit: usize) -> Option<AdmitGuard<'_>> {
+        // Relaxed: the counter is the only shared state; the optimistic
+        // increment is undone before returning when over the limit.
         let prev = self.inflight.fetch_add(1, Ordering::Relaxed);
-        let limit = self.limit();
         if limit != 0 && prev >= limit {
             // Relaxed: undo of the optimistic increment above.
             self.inflight.fetch_sub(1, Ordering::Relaxed);
             return None;
         }
         Some(AdmitGuard(self))
-    }
-
-    /// Cheap pre-check: is an AIMD step due? Lets callers skip the (heavier)
-    /// histogram snapshot that feeds [`adjust`](Self::adjust) between
-    /// intervals.
-    pub fn due(&self, now_ns: u64) -> bool {
-        // Relaxed: advisory read; adjust() re-checks under CAS.
-        now_ns.saturating_sub(self.last_adjust_ns.load(Ordering::Relaxed)) >= ADJUST_INTERVAL_NS
-    }
-
-    /// One AIMD step. `good`/`total` are *cumulative* counts from the
-    /// latency histogram (`count_at_or_below(target_p99)` and the sample
-    /// total); the gate differences them against the previous window
-    /// internally. At most one caller per [`ADJUST_INTERVAL_NS`] wins the
-    /// CAS election; everyone else returns immediately. The limit never
-    /// leaves `[1, max(ceiling, 1)]`.
-    pub fn adjust(&self, now_ns: u64, good: u64, total: u64, ceiling: usize) {
-        // Relaxed: the stamp is both rate limiter and election token; a
-        // lost CAS just means another thread runs this interval's step.
-        let last = self.last_adjust_ns.load(Ordering::Relaxed);
-        if now_ns.saturating_sub(last) < ADJUST_INTERVAL_NS {
-            return;
-        }
-        if self
-            .last_adjust_ns
-            // Relaxed: election CAS; the window data below is itself
-            // tolerant of skew (monotone cumulative counters).
-            .compare_exchange(last, now_ns, Ordering::Relaxed, Ordering::Relaxed)
-            .is_err()
-        {
-            return;
-        }
-        // Relaxed (×2): the elected adjuster owns these between elections;
-        // swaps keep the window baseline moving even when a window is
-        // discarded for being too small.
-        let base_good = self.base_good.swap(good, Ordering::Relaxed);
-        let base_total = self.base_total.swap(total, Ordering::Relaxed);
-        let window_total = total.saturating_sub(base_total);
-        if window_total < MIN_WINDOW_SAMPLES {
-            return;
-        }
-        let window_good = good.saturating_sub(base_good).min(window_total);
-        let window_bad = window_total - window_good;
-        let over_budget = window_bad * 100 > window_total; // > 1 % over target ⇒ windowed p99 > target
-        let cur = self.limit();
-        let next = if over_budget {
-            (cur / 2).max(1)
-        } else {
-            cur.saturating_add(1).min(ceiling.max(1))
-        };
-        self.set_limit(next);
-    }
-
-    /// Forgets the window baselines and the adjustment stamp (stats reset;
-    /// the limit itself is controller state and survives).
-    pub fn reset_window(&self) {
-        // Relaxed (×3): reset contract mirrors LatencyHistogram::reset —
-        // concurrent adjusters may land on either side.
-        self.last_adjust_ns.store(0, Ordering::Relaxed);
-        self.base_good.store(0, Ordering::Relaxed);
-        self.base_total.store(0, Ordering::Relaxed);
     }
 }
 
@@ -235,13 +118,13 @@ mod tests {
 
     #[test]
     fn gate_admits_to_the_limit_and_releases_on_drop() {
-        let gate = AdmissionGate::new(2);
-        let g1 = gate.try_admit().expect("first slot");
-        let g2 = gate.try_admit().expect("second slot");
-        assert!(gate.try_admit().is_none(), "third must shed");
+        let gate = AdmissionGate::new();
+        let g1 = gate.try_admit(2).expect("first slot");
+        let g2 = gate.try_admit(2).expect("second slot");
+        assert!(gate.try_admit(2).is_none(), "third must shed");
         assert_eq!(gate.inflight(), 2);
         drop(g1);
-        let g3 = gate.try_admit().expect("released slot is reusable");
+        let g3 = gate.try_admit(2).expect("released slot is reusable");
         drop(g2);
         drop(g3);
         assert_eq!(gate.inflight(), 0, "books balance after drops");
@@ -249,70 +132,12 @@ mod tests {
 
     #[test]
     fn zero_limit_disables_the_gate() {
-        let gate = AdmissionGate::new(0);
-        let guards: Vec<_> = (0..64).map(|_| gate.try_admit().expect("no cap")).collect();
+        let gate = AdmissionGate::new();
+        let guards: Vec<_> = (0..64)
+            .map(|_| gate.try_admit(0).expect("no cap"))
+            .collect();
         assert_eq!(gate.inflight(), 64);
         drop(guards);
         assert_eq!(gate.inflight(), 0);
-    }
-
-    #[test]
-    fn aimd_halves_over_budget_and_creeps_back_under_it() {
-        let gate = AdmissionGate::new(8);
-        // Window 1: 100 samples, 10 over target (10 % > 1 % budget) ⇒ halve.
-        gate.adjust(ADJUST_INTERVAL_NS, 90, 100, 8);
-        assert_eq!(gate.limit(), 4);
-        // Window 2: all good ⇒ additive increase.
-        gate.adjust(2 * ADJUST_INTERVAL_NS, 290, 300, 8);
-        assert_eq!(gate.limit(), 5);
-        // Repeated good windows climb back to the ceiling, never past it.
-        for i in 3..12u64 {
-            gate.adjust(i * ADJUST_INTERVAL_NS, i * 100, i * 100, 8);
-        }
-        assert_eq!(gate.limit(), 8);
-    }
-
-    #[test]
-    fn limit_floor_is_one_under_sustained_overload() {
-        let gate = AdmissionGate::new(8);
-        for i in 1..10u64 {
-            // Every window entirely over target.
-            gate.adjust(i * ADJUST_INTERVAL_NS, 0, i * 100, 8);
-        }
-        assert_eq!(gate.limit(), 1, "limit must never reach 0");
-        assert!(
-            gate.try_admit().is_some(),
-            "floor of 1 keeps the shard observable"
-        );
-    }
-
-    #[test]
-    fn adjust_is_rate_limited_and_skips_thin_windows() {
-        let gate = AdmissionGate::new(4);
-        gate.adjust(ADJUST_INTERVAL_NS, 0, 100, 4);
-        assert_eq!(gate.limit(), 2);
-        // Same interval: no second step.
-        gate.adjust(ADJUST_INTERVAL_NS + 1, 0, 200, 4);
-        assert_eq!(gate.limit(), 2);
-        // New interval but only 3 fresh samples: ignored.
-        gate.adjust(3 * ADJUST_INTERVAL_NS, 0, 103, 4);
-        assert_eq!(gate.limit(), 2);
-        assert!(gate.due(10 * ADJUST_INTERVAL_NS));
-    }
-
-    #[test]
-    fn reset_window_forgets_baselines_but_keeps_the_limit() {
-        let gate = AdmissionGate::new(8);
-        gate.adjust(ADJUST_INTERVAL_NS, 0, 100, 8);
-        assert_eq!(gate.limit(), 4);
-        gate.reset_window();
-        assert_eq!(
-            gate.limit(),
-            4,
-            "limit is controller state, not window state"
-        );
-        // Stamp cleared: one interval past the epoch is due again (before
-        // the reset, the stamp sat at ADJUST_INTERVAL_NS and this was not).
-        assert!(gate.due(ADJUST_INTERVAL_NS));
     }
 }

@@ -489,23 +489,8 @@ pub struct DegradePolicy {
     /// components degrade. `0` disables the budget.
     pub exact_node_budget: usize,
     /// Maximum concurrently in-flight EXPANDs before the admission gate
-    /// sheds with [`EngineError::Overloaded`]. `0` disables the gate. With
-    /// [`DegradePolicy::adaptive_admission`] set this is the AIMD
-    /// controller's *ceiling* instead of the operating point.
+    /// sheds with [`EngineError::Overloaded`]. `0` disables the gate.
     pub max_inflight_expands: usize,
-    /// Run the [`AdmissionGate`] AIMD controller (DESIGN.md §5k): the
-    /// in-flight limit tracks the measured EXPAND latency window against
-    /// the [`crate::slo::SLOS`] target p99 instead of sitting at the
-    /// static cap. Off by default — the clean serve path keeps the fixed
-    /// cap and stays bit-identical.
-    pub adaptive_admission: bool,
-    /// Latency target the AIMD controller compares the EXPAND window
-    /// against, nanoseconds. `0` (the default) uses the global
-    /// [`crate::slo::SLOS`] Expand target; operators tune it per tier in
-    /// the gradient-controller style — unloaded baseline latency × a
-    /// tolerance factor — so the gate reacts to *this* deployment's
-    /// queueing, not an absolute number sized for other hardware.
-    pub admission_target_ns: u64,
     /// When a request carries an absolute deadline
     /// ([`flightrec::RequestCtx::deadline_ns`]), skip the exact planner if
     /// fewer than this many nanoseconds remain at planning time (the exact
@@ -525,8 +510,6 @@ impl Default for DegradePolicy {
             expand_deadline_ns: 0,
             exact_node_budget: 0,
             max_inflight_expands: 1024,
-            adaptive_admission: false,
-            admission_target_ns: 0,
             deadline_exact_headroom_ns: 5_000_000,
             deadline_static_headroom_ns: 1_000_000,
         }
@@ -559,6 +542,12 @@ struct TreeCache {
     hits: u64,
     misses: u64,
     evictions: u64,
+    /// Cut-memo hits and misses of evicted entries, folded in at eviction
+    /// so the window's cut-cache tallies survive LRU pressure. Lookups a
+    /// still-open session makes on an evicted memo after that are not
+    /// counted.
+    evicted_cut_hits: u64,
+    evicted_cut_misses: u64,
 }
 
 impl TreeCache {
@@ -570,14 +559,31 @@ impl TreeCache {
             hits: 0,
             misses: 0,
             evictions: 0,
+            evicted_cut_hits: 0,
+            evicted_cut_misses: 0,
         }
     }
 
-    /// Zeroes the hit/miss/eviction counters, keeping the cached trees.
+    /// Zeroes the hit/miss/eviction counters and every cut memo's
+    /// counters, keeping the cached trees and their memoized cuts.
     fn reset_counters(&mut self) {
         self.hits = 0;
         self.misses = 0;
         self.evictions = 0;
+        self.evicted_cut_hits = 0;
+        self.evicted_cut_misses = 0;
+        for entry in self.entries.values() {
+            entry.cuts.reset_counters();
+        }
+    }
+
+    /// Cut-memo `(hits, misses)` over the window: the cached trees' memos
+    /// plus the evicted ones.
+    fn cut_counts(&self) -> (u64, u64) {
+        self.entries.values().fold(
+            (self.evicted_cut_hits, self.evicted_cut_misses),
+            |(h, m), e| (h + e.cuts.hits(), m + e.cuts.misses()),
+        )
     }
 
     /// Probe only: bumps the hit counter on a find. Misses are counted by
@@ -620,7 +626,10 @@ impl TreeCache {
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k.clone())
             {
-                self.entries.remove(&lru);
+                if let Some(evicted) = self.entries.remove(&lru) {
+                    self.evicted_cut_hits += evicted.cuts.hits();
+                    self.evicted_cut_misses += evicted.cuts.misses();
+                }
                 self.evictions += 1;
             }
         }
@@ -674,10 +683,10 @@ pub struct ServeStats {
     /// `hits / (hits + misses)`, 0.0 when idle.
     pub cache_hit_rate: f64,
     /// EXPANDs answered from a cross-session [`CutCache`] (summed over the
-    /// currently cached trees).
+    /// cached trees and the ones evicted in this stats window).
     pub cut_cache_hits: u64,
     /// EXPANDs that fell through to a fresh Heuristic-ReducedOpt solve
-    /// (summed over the currently cached trees).
+    /// (summed like `cut_cache_hits`).
     pub cut_cache_misses: u64,
     /// Sessions ever opened.
     pub sessions_opened: u64,
@@ -814,9 +823,8 @@ where
     started_ns: AtomicU64,
     /// Degradation-ladder / admission policy (DESIGN.md §5f).
     policy: DegradePolicy,
-    /// The in-flight EXPAND gate (DESIGN.md §5k): a fixed cap with the
-    /// default policy, the AIMD controller's live limit under
-    /// [`DegradePolicy::adaptive_admission`].
+    /// The in-flight EXPAND gate (DESIGN.md §5k), capped at
+    /// [`DegradePolicy::max_inflight_expands`].
     admission: AdmissionGate,
     /// EXPANDs shed by the admission gate in the current stats window.
     shed_expands: AtomicU64,
@@ -862,7 +870,7 @@ where
             slo: SloState::new(),
             started_ns: AtomicU64::new(trace::now_ns()),
             policy: DegradePolicy::default(),
-            admission: AdmissionGate::new(DegradePolicy::default().max_inflight_expands),
+            admission: AdmissionGate::new(),
             shed_expands: AtomicU64::new(0),
             deadline_rejects: AtomicU64::new(0),
             degraded_myopic: AtomicU64::new(0),
@@ -910,18 +918,15 @@ where
 
     /// Replace the degradation/admission policy. Takes `&mut self`: the
     /// policy is plain data read by serving threads, so it can only change
-    /// while no worker holds the engine. The admission gate restarts at
-    /// the new cap (the AIMD controller re-converges from there).
+    /// while no worker holds the engine.
     pub fn set_policy(&mut self, policy: DegradePolicy) {
         self.policy = policy;
-        self.admission.set_limit(policy.max_inflight_expands);
     }
 
-    /// The live admission limit: the AIMD controller's current operating
-    /// point under [`DegradePolicy::adaptive_admission`], otherwise the
-    /// static cap (0 = ungated).
+    /// The admission cap, [`DegradePolicy::max_inflight_expands`]
+    /// (0 = ungated).
     pub fn admission_limit(&self) -> usize {
-        self.admission.limit()
+        self.policy.max_inflight_expands
     }
 
     /// EXPAND SLO burn rate over the current stats window, ×100, from the
@@ -1240,7 +1245,7 @@ where
     /// [`EngineError::Overloaded`]. The returned guard releases the slot
     /// on drop (panic-safe — a quarantined EXPAND still releases).
     fn admit_expand(&self) -> Result<crate::admission::AdmitGuard<'_>, EngineError> {
-        match self.admission.try_admit() {
+        match self.admission.try_admit(self.policy.max_inflight_expands) {
             Some(guard) => Ok(guard),
             None => {
                 // Relaxed: monotone statistics counter.
@@ -1266,29 +1271,6 @@ where
             return Err(EngineError::DeadlineExceeded);
         }
         Ok(())
-    }
-
-    /// One AIMD step when due (DESIGN.md §5k): compare the EXPAND latency
-    /// window against the [`crate::slo::SLOS`] Expand target p99 and move
-    /// the admit limit. The `due` pre-check keeps the histogram snapshot
-    /// off the steady-state hot path (one snapshot per 25 ms per engine,
-    /// max).
-    fn adjust_admission(&self, now_ns: u64) {
-        if !self.policy.adaptive_admission || !self.admission.due(now_ns) {
-            return;
-        }
-        let target_ns = if self.policy.admission_target_ns != 0 {
-            self.policy.admission_target_ns
-        } else {
-            slo_for(SloVerb::Expand).target_p99_ns
-        };
-        let snap = self.expand_hist.snapshot();
-        self.admission.adjust(
-            now_ns,
-            snap.count_at_or_below(target_ns),
-            snap.total(),
-            self.policy.max_inflight_expands,
-        );
     }
 
     /// Decide whether this EXPAND degrades, and why — evaluated with the
@@ -1421,9 +1403,6 @@ where
         match isolated {
             Ok(Ok(laddered)) => {
                 self.expand_hist.record(ns);
-                // AIMD step (adaptive admission only): rate-limited by the
-                // gate itself, so steady state pays one `due` load here.
-                self.adjust_admission(trace::now_ns());
                 Ok((
                     laddered.map(|(revealed, degraded)| ExpandReply { revealed, degraded }),
                     ns,
@@ -1721,9 +1700,7 @@ where
     pub fn stats(&self) -> ServeStats {
         let (hits, misses, evictions, entries, capacity, cut_hits, cut_misses) = {
             let cache = self.cache.lock();
-            let (cut_hits, cut_misses) = cache.entries.values().fold((0u64, 0u64), |(h, m), e| {
-                (h + e.cuts.hits(), m + e.cuts.misses())
-            });
+            let (cut_hits, cut_misses) = cache.cut_counts();
             (
                 cache.hits,
                 cache.misses,
@@ -1791,7 +1768,7 @@ where
             // Breakers live in the sharded tier; the sharded stats merge
             // overwrites these from its per-shard breakers.
             breaker_rejects: 0,
-            admission_limit: self.admission.limit() as u64,
+            admission_limit: self.policy.max_inflight_expands as u64,
             breaker_state: 0,
             expand_count: snap.total() as usize,
             expand_p50_us: pct(0.50),
@@ -1859,13 +1836,7 @@ where
         self.expand_hist.reset();
         self.stage.reset();
         trace::clear_ring();
-        {
-            let mut cache = self.cache.lock();
-            cache.reset_counters();
-            for entry in cache.entries.values_mut() {
-                entry.cuts.reset_counters();
-            }
-        }
+        self.cache.lock().reset_counters();
         // Relaxed: the reset races in-flight sessions by design (documented
         // on the method); per-counter coherence is all that is needed.
         self.sessions_opened.store(0, Ordering::Relaxed);
@@ -1879,9 +1850,6 @@ where
         self.degraded_static.store(0, Ordering::Relaxed);
         self.shed_expands.store(0, Ordering::Relaxed);
         self.deadline_rejects.store(0, Ordering::Relaxed);
-        // The admission *limit* is controller state and survives the reset
-        // (like cached trees); only its latency window restarts.
-        self.admission.reset_window();
         // The SLO baselines reference the histograms reset above; the
         // flight recorder starts a fresh window and re-arms its
         // dump-once-per-reason latches.
@@ -2169,6 +2137,8 @@ mod tests {
 
     #[test]
     fn reset_stats_clears_the_telemetry_window() {
+        // reset_stats clears the global span ring.
+        let _g = trace::test_lock();
         let engine = fixture_engine();
         let query = {
             let h = synth::generate(&SynthConfig::small(5, sanitizer_scaled(300, 48))).unwrap();
@@ -2257,6 +2227,7 @@ mod tests {
 
         // reset_stats zeroes the memo's counters but keeps its entries, so
         // serving stays warm across a telemetry window reset.
+        let _g = trace::test_lock();
         engine.reset_stats();
         let stats = engine.stats();
         assert_eq!(stats.cut_cache_hits, 0);
@@ -2281,6 +2252,52 @@ mod tests {
             engine.run_script("zzz-no-such-term-zzz", &[ScriptOp::ExpandFully]),
             Err(EngineError::UnknownQuery(_))
         ));
+    }
+
+    #[test]
+    fn cut_cache_counts_survive_tree_eviction() {
+        // The fixture caches two trees: touching two other queries after
+        // the navigated one evicts it, memo and all.
+        let engine = fixture_engine();
+        let h = synth::generate(&SynthConfig::small(5, sanitizer_scaled(300, 48))).unwrap();
+        let labels: Vec<String> = h
+            .iter_preorder()
+            .skip(1)
+            .map(|n| h.node(n).label().to_string())
+            .filter(|label| engine.tree_for(label).is_some_and(|t| t.len() > 3))
+            .take(3)
+            .collect();
+        let [navigated, other_a, other_b] = labels.as_slice() else {
+            panic!("fixture needs three multi-node trees");
+        };
+
+        // First session solves the root cut fresh, the second replays it.
+        for _ in 0..2 {
+            let id = engine.open_session(navigated).unwrap();
+            engine.expand(id, NavNodeId::ROOT).unwrap();
+            engine.close_session(id).unwrap();
+        }
+        let before = engine.stats();
+        assert!(before.cut_cache_hits >= 1 && before.cut_cache_misses >= 1);
+
+        engine.tree_for(other_a).unwrap();
+        engine.tree_for(other_b).unwrap();
+        let after = engine.stats();
+        assert!(
+            after.cache_evictions > before.cache_evictions,
+            "the navigated tree must be evicted"
+        );
+        assert_eq!(after.cut_cache_hits, before.cut_cache_hits, "hits lost");
+        assert_eq!(
+            after.cut_cache_misses, before.cut_cache_misses,
+            "misses lost"
+        );
+
+        // The folded counts belong to the stats window.
+        let _g = trace::test_lock();
+        engine.reset_stats();
+        let reset = engine.stats();
+        assert_eq!((reset.cut_cache_hits, reset.cut_cache_misses), (0, 0));
     }
 
     /// Finds a result-bearing query on `engine` (fixture helper for the
@@ -2395,42 +2412,6 @@ mod tests {
         assert_eq!(stats.degraded_myopic, 0, "myopic rung must be skipped");
         assert_eq!(stats.deadline_rejects, 0, "the request was served");
         engine.close_session(id).unwrap();
-    }
-
-    #[test]
-    fn adaptive_admission_halves_on_a_bad_window_and_creeps_back() {
-        use crate::admission::ADJUST_INTERVAL_NS;
-        let engine = fixture_engine().with_policy(DegradePolicy {
-            adaptive_admission: true,
-            max_inflight_expands: 8,
-            ..DegradePolicy::default()
-        });
-        assert_eq!(engine.admission_limit(), 8, "starts at the ceiling");
-
-        // A window entirely over the Expand SLO target halves the limit.
-        let target = slo_for(SloVerb::Expand).target_p99_ns;
-        for _ in 0..32 {
-            engine.expand_hist.record(target * 4);
-        }
-        let t1 = trace::now_ns().max(ADJUST_INTERVAL_NS);
-        engine.adjust_admission(t1);
-        assert_eq!(engine.admission_limit(), 4, "multiplicative decrease");
-
-        // A clean window probes back up by one (additive increase).
-        for _ in 0..32 {
-            engine.expand_hist.record(1_000);
-        }
-        engine.adjust_admission(t1 + ADJUST_INTERVAL_NS);
-        assert_eq!(engine.admission_limit(), 5, "additive increase");
-
-        // Without `adaptive_admission` the limit is pinned to the policy.
-        let static_engine = fixture_engine();
-        static_engine.adjust_admission(trace::now_ns().max(ADJUST_INTERVAL_NS));
-        assert_eq!(
-            static_engine.admission_limit(),
-            DegradePolicy::default().max_inflight_expands,
-            "static gate never moves"
-        );
     }
 
     #[test]

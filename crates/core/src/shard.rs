@@ -129,11 +129,13 @@ impl std::fmt::Display for ShardSessionId {
     }
 }
 
-/// When is a shard too sick to take *new* sessions? Each threshold is a
-/// "≥ means unhealthy" bound on one [`HealthCounters`] signal; 0 disables
-/// that signal (the [`HealthPolicy::default`] disables all four, matching
-/// the [`DegradePolicy`](crate::engine::DegradePolicy) convention that the
-/// zero policy is the no-op policy).
+/// When is a shard too sick to take *new* sessions? Each of the six
+/// `max_*` thresholds is a "≥ means unhealthy" bound on one shard signal
+/// (five [`HealthCounters`] fields and the EXPAND SLO burn rate); 0
+/// disables that signal. The [`HealthPolicy::default`] disables all six
+/// and leaves the breaker disarmed, matching the
+/// [`DegradePolicy`](crate::engine::DegradePolicy) convention that the
+/// zero policy is the no-op policy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HealthPolicy {
     /// Unhealthy when this many sessions sit quarantined on the shard.
@@ -959,7 +961,8 @@ mod tests {
                 "stage {stage}"
             );
         }
-        // Tier reset clears every shard's window.
+        // Tier reset clears every shard's window (and the global span ring).
+        let _g = crate::trace::test_lock();
         sharded.reset_stats();
         assert_eq!(sharded.stats().expand_count, 0);
         assert_eq!(sharded.shard_stats(0).sessions_opened, 0);
@@ -1136,6 +1139,7 @@ mod tests {
         // delta vs. the trip baseline is zero), the probe delay passes,
         // and three healthy probes re-close the breaker — placement snaps
         // back to the sticky home shard.
+        let _g = crate::trace::test_lock();
         sharded.reset_shard_stats(sick);
         // Past the worst-case probe delay (open_ns + 25 % jitter).
         std::thread::sleep(std::time::Duration::from_millis(260));

@@ -305,8 +305,7 @@ pub fn prometheus_text_views(views: &[MetricsView]) -> String {
         },
         Family {
             metric: "bionav_admission_limit",
-            help: "Live admission-gate in-flight limit (the AIMD operating \
-                   point under adaptive admission, else the static cap).",
+            help: "Admission-gate in-flight EXPAND cap (0 = ungated).",
             kind: "gauge",
             series: |s| vec![("", s.admission_limit)],
         },

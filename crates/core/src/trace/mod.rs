@@ -253,6 +253,16 @@ pub fn ring_pushed() -> u64 {
     global_ring().pushed()
 }
 
+/// Serializes the unit tests that toggle the ring or clear it (directly or
+/// through `Engine::reset_stats`), so none of them wipes or floods the
+/// ring under another.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 // ---------------------------------------------------------------------------
 // Spans
 // ---------------------------------------------------------------------------
@@ -525,15 +535,14 @@ pub fn chrome_trace_json() -> String {
 mod tests {
     use super::*;
 
-    /// Tests below mutate process-global trace state (toggle + ring), so
-    /// they serialize on this lock. Other test binaries touching the
-    /// globals do the same.
-    static TRACE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        TRACE_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// This thread's ring events for `stage`: with the toggle on, every
+    /// other test thread's spans land in the ring too.
+    fn own_events(stage: Stage) -> Vec<SpanEvent> {
+        let tid = TID.with(|t| *t) as u16;
+        ring_snapshot()
+            .into_iter()
+            .filter(|e| e.tid == tid && e.stage == stage as u8)
+            .collect()
     }
 
     #[test]
@@ -554,7 +563,7 @@ mod tests {
 
     #[test]
     fn disarmed_span_records_nothing() {
-        let _g = lock();
+        let _g = test_lock();
         set_enabled(false);
         clear_ring();
         let before = ring_pushed();
@@ -571,7 +580,7 @@ mod tests {
 
     #[test]
     fn enabled_span_emits_begin_and_end() {
-        let _g = lock();
+        let _g = test_lock();
         set_enabled(true);
         set_sample_every(1);
         clear_ring();
@@ -579,11 +588,7 @@ mod tests {
             let _s = span(Stage::Partition);
         }
         set_enabled(false);
-        let events = ring_snapshot();
-        let mine: Vec<_> = events
-            .iter()
-            .filter(|e| e.stage == Stage::Partition as u8)
-            .collect();
+        let mine = own_events(Stage::Partition);
         assert_eq!(mine.len(), 2);
         assert_eq!(mine[0].kind, SpanKind::Begin);
         assert_eq!(mine[1].kind, SpanKind::End);
@@ -593,7 +598,7 @@ mod tests {
 
     #[test]
     fn capture_tape_sees_every_span_regardless_of_toggle() {
-        let _g = lock();
+        let _g = test_lock();
         set_enabled(false);
         let cap = capture();
         {
@@ -610,7 +615,7 @@ mod tests {
 
     #[test]
     fn sampling_thins_ring_but_not_tape() {
-        let _g = lock();
+        let _g = test_lock();
         set_enabled(true);
         set_sample_every(4);
         clear_ring();
@@ -621,10 +626,7 @@ mod tests {
         drop(cap);
         set_enabled(false);
         set_sample_every(1);
-        let ring_events = ring_snapshot()
-            .iter()
-            .filter(|e| e.stage == Stage::MemoCut as u8)
-            .count();
+        let ring_events = own_events(Stage::MemoCut).len();
         assert!(
             ring_events < 16,
             "sampling must thin ring emission ({ring_events} events)"
@@ -655,7 +657,7 @@ mod tests {
 
     #[test]
     fn record_is_tape_only_and_capture_gated() {
-        let _g = lock();
+        let _g = test_lock();
         set_enabled(false);
         clear_ring();
         record(Stage::OpenSessionCold, 1_000);
@@ -673,7 +675,7 @@ mod tests {
 
     #[test]
     fn nested_capture_drains_once() {
-        let _g = lock();
+        let _g = test_lock();
         set_enabled(false);
         let outer = capture();
         {

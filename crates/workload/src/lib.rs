@@ -45,8 +45,5 @@ pub mod spec;
 
 pub use build::{PreparedQuery, QueryRun, Workload, WorkloadConfig};
 pub use eval::{evaluate, evaluate_query, QueryEval, Table1Row};
-pub use openloop::{
-    served_p99_us, shed_fraction, OpenLoopConfig, SessionOp, SessionOutcome, SessionPlan,
-    SessionStep,
-};
+pub use openloop::{OpenLoopConfig, SessionOp, SessionPlan, SessionStep};
 pub use spec::{paper_queries, QuerySpec, TargetSpec};

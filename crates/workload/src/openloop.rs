@@ -5,10 +5,10 @@
 //! coordinated omission: the latencies it records are only for the requests
 //! it got around to sending. This module generates the schedule *up front*
 //! — Poisson arrivals at a fixed rate, Zipf popularity over the ten Table I
-//! queries, Markov EXPLORE/EXPAND sessions with think-time pauses — so the
-//! bench harness can replay it open-loop and measure every session's
-//! latency from its **intended** arrival instant, whether or not the server
-//! was ready for it.
+//! queries, Markov EXPLORE/EXPAND sessions with think-time pauses — so a
+//! load generator (`wirebench`) can replay it open-loop and measure every
+//! session's latency from its **intended** arrival instant, whether or not
+//! the server was ready for it.
 //!
 //! Everything is deterministic in [`OpenLoopConfig::seed`].
 
@@ -85,52 +85,6 @@ pub struct SessionPlan {
     pub query: String,
     /// Steps after the open; always contains at least one EXPAND.
     pub steps: Vec<SessionStep>,
-}
-
-/// The outcome of replaying one session, for coordinated-omission-safe
-/// percentile math: latency is `done_ns - intended_ns`, which charges queue
-/// time the server never saw to the server anyway.
-#[derive(Debug, Clone, Copy)]
-pub struct SessionOutcome {
-    /// The plan's intended arrival instant.
-    pub intended_ns: u64,
-    /// When the session's final reply landed (same clock as `intended_ns`).
-    pub done_ns: u64,
-    /// Whether the server shed the session (admission, deadline, breaker)
-    /// instead of serving it.
-    pub shed: bool,
-}
-
-impl SessionOutcome {
-    /// Coordinated-omission-safe latency in nanoseconds.
-    pub fn latency_ns(&self) -> u64 {
-        self.done_ns.saturating_sub(self.intended_ns)
-    }
-}
-
-/// p99 latency, in microseconds, over the *served* (non-shed) outcomes.
-/// Returns `None` when nothing was served.
-pub fn served_p99_us(outcomes: &[SessionOutcome]) -> Option<u64> {
-    let mut served: Vec<u64> = outcomes
-        .iter()
-        .filter(|o| !o.shed)
-        .map(|o| o.latency_ns())
-        .collect();
-    if served.is_empty() {
-        return None;
-    }
-    served.sort_unstable();
-    // Nearest-rank p99: the smallest sample with ≥99% of mass at or below.
-    let rank = (served.len() * 99).div_ceil(100).max(1);
-    Some(served[rank - 1] / 1_000)
-}
-
-/// Fraction of outcomes the server shed, in [0, 1].
-pub fn shed_fraction(outcomes: &[SessionOutcome]) -> f64 {
-    if outcomes.is_empty() {
-        return 0.0;
-    }
-    outcomes.iter().filter(|o| o.shed).count() as f64 / outcomes.len() as f64
 }
 
 /// Generate the full open-loop schedule: Poisson arrivals over the window,
@@ -282,40 +236,5 @@ mod tests {
             .iter()
             .flat_map(|p| &p.steps)
             .any(|s| s.op == SessionOp::Explore));
-    }
-
-    #[test]
-    fn p99_is_measured_from_intended_arrival() {
-        // A server that "only" takes 1ms per request but queues 100ms
-        // behind schedule: coordinated-omission-safe latency sees the
-        // queue, not just the service time.
-        let outcomes: Vec<SessionOutcome> = (0..100)
-            .map(|i| SessionOutcome {
-                intended_ns: i * 1_000_000,
-                done_ns: i * 1_000_000 + if i >= 98 { 100_000_000 } else { 1_000_000 },
-                shed: false,
-            })
-            .collect();
-        assert_eq!(served_p99_us(&outcomes), Some(100_000));
-        assert_eq!(shed_fraction(&outcomes), 0.0);
-    }
-
-    #[test]
-    fn shed_sessions_are_excluded_from_served_p99() {
-        let outcomes = vec![
-            SessionOutcome {
-                intended_ns: 0,
-                done_ns: 1_000,
-                shed: false,
-            },
-            SessionOutcome {
-                intended_ns: 0,
-                done_ns: 900_000_000,
-                shed: true,
-            },
-        ];
-        assert_eq!(served_p99_us(&outcomes), Some(1));
-        assert!((shed_fraction(&outcomes) - 0.5).abs() < 1e-9);
-        assert_eq!(served_p99_us(&[]), None);
     }
 }
