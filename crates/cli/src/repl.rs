@@ -667,14 +667,14 @@ impl Repl {
     fn render_shard_table(&self) -> String {
         let mut out = format!(
             "per-shard serving telemetry ({} shards)\n\
-             shard   cache(hit/miss)  sessions(open/active)  expands    p99 µs  deg  shed  ddl  quar  adm  breaker\n",
+             shard   cache(hit/miss)  sessions(open/active)  expands    p99 µs  deg  shed  ddl  quar  adm\n",
             self.engine.shard_count()
         );
         for shard in 0..self.engine.shard_count() {
             let st = self.engine.shard_stats(shard);
             let _ = writeln!(
                 out,
-                "{shard:>5}   {:>7}/{:<7}  {:>10}/{:<10}  {:>7}  {:>8.0}  {:>3}  {:>4}  {:>3}  {:>4}  {:>3}  {}",
+                "{shard:>5}   {:>7}/{:<7}  {:>10}/{:<10}  {:>7}  {:>8.0}  {:>3}  {:>4}  {:>3}  {:>4}  {:>3}",
                 st.cache_hits,
                 st.cache_misses,
                 st.sessions_opened,
@@ -686,17 +686,6 @@ impl Repl {
                 st.deadline_rejects,
                 st.sessions_quarantined,
                 st.admission_limit,
-                // The overload column pairs the breaker state with its
-                // reject tally so a fast-failing shard stands out.
-                if st.breaker_rejects > 0 {
-                    format!(
-                        "{} ({} rejected)",
-                        self.engine.breaker_state(shard).name(),
-                        st.breaker_rejects
-                    )
-                } else {
-                    self.engine.breaker_state(shard).name().to_string()
-                },
             );
         }
         out
@@ -1098,14 +1087,9 @@ mod tests {
                 "{table}"
             );
         }
-        // The overload-control columns render: every healthy shard shows
-        // its admission limit and a closed breaker.
-        assert!(table.contains("adm  breaker"), "{table}");
-        assert_eq!(
-            table.matches("closed").count(),
-            3,
-            "one closed breaker per shard row: {table}"
-        );
+        // The overload-control columns render: every shard shows its
+        // admission limit.
+        assert!(table.contains("quar  adm"), "{table}");
         let limit = r.engine.engine(0).admission_limit().to_string();
         assert!(table.contains(&limit), "{table}");
 

@@ -168,38 +168,21 @@ fn handle_connection(mut stream: TcpStream, engine: &ServeEngine, dataset: &Data
     }
 }
 
-/// Maps a typed engine refusal to its wire reply. Breaker fast-fails are
-/// the one retryable refusal, so they get [`Reply::Throttled`] with the
-/// breaker's probe-delay hint (rounded *up* to whole milliseconds — a
-/// truncated-to-zero hint would invite a tight retry loop); everything
-/// else is a plain [`Reply::Error`].
+/// Maps a typed engine refusal to its wire reply. An admission-cap shed
+/// ([`EngineError::Overloaded`](bionav_core::EngineError::Overloaded)) is
+/// the one retryable refusal, so it gets [`Reply::Throttled`] with the
+/// protocol's 1 ms floor as its hint: the cap frees a slot as soon as any
+/// in-flight EXPAND finishes. Everything else is a plain [`Reply::Error`].
 fn error_reply(e: bionav_core::EngineError) -> Reply {
     match e {
-        bionav_core::EngineError::BreakerOpen { retry_after_ns, .. } => Reply::Throttled {
+        bionav_core::EngineError::Overloaded => Reply::Throttled {
             message: e.to_string(),
-            retry_after_ms: retry_after_ns.div_ceil(1_000_000).max(1),
+            retry_after_ms: 1,
         },
         _ => Reply::Error {
             message: e.to_string(),
         },
     }
-}
-
-/// Ceiling on the client-side backoff a [`Reply::Throttled`] hint can
-/// produce (the server's open period is configuration; a hostile or buggy
-/// hint must not park a client for minutes).
-pub const MAX_THROTTLE_BACKOFF_MS: u64 = 5_000;
-
-/// Client-side bounded backoff for [`Reply::Throttled`]: start from the
-/// server's hint, double per consecutive throttle (attempt 0 = first
-/// refusal), clamp to `[1, MAX_THROTTLE_BACKOFF_MS]`. Used by the REPL's
-/// wire client and the serve test clients; pure so it is testable without
-/// sleeping.
-pub fn throttle_backoff_ms(hint_ms: u64, attempt: u32) -> u64 {
-    hint_ms
-        .max(1)
-        .saturating_mul(1u64 << attempt.min(12))
-        .min(MAX_THROTTLE_BACKOFF_MS)
 }
 
 /// Applies one request to the tier and renders the reply.
@@ -629,61 +612,40 @@ mod tests {
         );
     }
 
-    /// The client-side throttle backoff honors the server hint, grows
-    /// exponentially per consecutive refusal, and is bounded on both ends.
+    /// `error_reply` maps admission-cap sheds to `Throttled` (1 ms hint,
+    /// `engine overloaded` message) and every other refusal to `Error`.
     #[test]
-    fn throttle_backoff_is_bounded_and_monotone() {
-        assert_eq!(throttle_backoff_ms(10, 0), 10);
-        assert_eq!(throttle_backoff_ms(10, 1), 20);
-        assert_eq!(throttle_backoff_ms(10, 3), 80);
-        // Never 0, even on a degenerate hint.
-        assert_eq!(throttle_backoff_ms(0, 0), 1);
-        // Clamped above, including overflow-bait attempts.
-        assert_eq!(throttle_backoff_ms(4_000, 1), MAX_THROTTLE_BACKOFF_MS);
-        assert_eq!(throttle_backoff_ms(1, u32::MAX), 4096);
-        assert_eq!(throttle_backoff_ms(u64::MAX, 63), MAX_THROTTLE_BACKOFF_MS);
-        // Monotone in the attempt count until the clamp.
-        let mut prev = 0;
-        for attempt in 0..16 {
-            let b = throttle_backoff_ms(5, attempt);
-            assert!(b >= prev, "backoff must not shrink");
-            prev = b;
-        }
-    }
-
-    /// `error_reply` maps breaker fast-fails to `Throttled` (hint rounded
-    /// up to ≥ 1 ms) and everything else to plain `Error`.
-    #[test]
-    fn breaker_refusals_become_throttled_replies() {
-        let e = bionav_core::EngineError::BreakerOpen {
-            shard: 3,
-            retry_after_ns: 1, // sub-millisecond: must round *up*
-        };
-        match error_reply(e) {
+    fn admission_sheds_become_throttled_replies() {
+        match error_reply(bionav_core::EngineError::Overloaded) {
             Reply::Throttled {
                 message,
                 retry_after_ms,
             } => {
-                assert!(message.contains("shard 3"), "{message}");
+                assert!(message.starts_with("engine overloaded"), "{message}");
                 assert_eq!(retry_after_ms, 1);
             }
             other => panic!("expected Throttled, got {other:?}"),
         }
-        let e = bionav_core::EngineError::BreakerOpen {
-            shard: 0,
-            retry_after_ns: 2_500_000,
-        };
-        assert!(matches!(
-            error_reply(e),
-            Reply::Throttled {
-                retry_after_ms: 3,
-                ..
-            }
-        ));
         assert!(matches!(
             error_reply(bionav_core::EngineError::DeadlineExceeded),
             Reply::Error { .. }
         ));
+        // A forged id yields the engine's own typed UnknownSession.
+        let tier = bionav_core::ShardedEngine::new(1, |_| {
+            bionav_core::Engine::new(
+                |_: &str| -> Option<bionav_core::SharedTree> { None },
+                bionav_core::CostParams::default(),
+                1,
+            )
+        });
+        let unknown = tier
+            .close_session(bionav_core::ShardSessionId::from_bits(u64::MAX))
+            .unwrap_err();
+        assert!(matches!(
+            unknown,
+            bionav_core::EngineError::UnknownSession(_)
+        ));
+        assert!(matches!(error_reply(unknown), Reply::Error { .. }));
     }
 
     /// The connection gauge balances accepts against drops — including

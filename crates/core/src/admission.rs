@@ -18,9 +18,8 @@ use crate::sync::{AtomicUsize, Ordering};
 /// Why a request was refused before reaching the solver. The typed reason
 /// flows into the flight recorder (2-bit `shed` field), the Prometheus
 /// exposition (`bionav_shed_total{reason=...}`), and [`ServeStats`]
-/// (`shed_expands` / `deadline_rejects` / `breaker_rejects`), so an
-/// operator can tell queue pressure from deadline misses from a tripped
-/// breaker without correlating logs.
+/// (`shed_expands` / `deadline_rejects`), so an operator can tell queue
+/// pressure from deadline misses without correlating logs.
 ///
 /// [`ServeStats`]: crate::engine::ServeStats
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,17 +28,14 @@ pub enum ShedReason {
     Queue = 0,
     /// The request's end-to-end deadline had already expired on arrival.
     Deadline = 1,
-    /// The target shard's circuit breaker is open.
-    Breaker = 2,
 }
 
 impl ShedReason {
     /// Number of shed reasons.
-    pub const COUNT: usize = 3;
+    pub const COUNT: usize = 2;
 
     /// Every reason, in discriminant order.
-    pub const ALL: [ShedReason; ShedReason::COUNT] =
-        [ShedReason::Queue, ShedReason::Deadline, ShedReason::Breaker];
+    pub const ALL: [ShedReason; ShedReason::COUNT] = [ShedReason::Queue, ShedReason::Deadline];
 
     /// Stable snake_case name used as the Prometheus `reason` label value
     /// and in decoded flight-recorder records.
@@ -47,7 +43,6 @@ impl ShedReason {
         match self {
             ShedReason::Queue => "queue",
             ShedReason::Deadline => "deadline",
-            ShedReason::Breaker => "breaker",
         }
     }
 }
@@ -110,7 +105,6 @@ mod tests {
         assert_eq!(ShedReason::ALL.len(), ShedReason::COUNT);
         assert_eq!(ShedReason::Queue.name(), "queue");
         assert_eq!(ShedReason::Deadline.name(), "deadline");
-        assert_eq!(ShedReason::Breaker.name(), "breaker");
         for r in ShedReason::ALL {
             assert!(r.name().chars().all(|c| c.is_ascii_lowercase()));
         }

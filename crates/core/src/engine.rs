@@ -68,7 +68,7 @@ use std::sync::Arc;
 use crate::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
 
 use crate::admission::AdmissionGate;
-use crate::slo::{slo_for, SloBurn, SloState, SloVerb};
+use crate::slo::{SloBurn, SloState, SloVerb};
 use crate::telemetry::LatencyHistogram;
 use crate::trace::flightrec::{self, Verb};
 use crate::trace::{self, Stage, StageMetrics, StageStat};
@@ -362,13 +362,6 @@ pub enum EngineError {
     /// The request's end-to-end deadline ([`flightrec::RequestCtx`]) had
     /// already expired on arrival; nothing was executed.
     DeadlineExceeded,
-    /// The target shard's circuit breaker is open; retry after the hint.
-    BreakerOpen {
-        /// The fast-failing shard.
-        shard: usize,
-        /// Client backoff hint, nanoseconds (always ≥ 1).
-        retry_after_ns: u64,
-    },
 }
 
 impl fmt::Display for EngineError {
@@ -395,14 +388,6 @@ impl fmt::Display for EngineError {
             EngineError::DeadlineExceeded => {
                 write!(f, "request deadline expired before any work was done")
             }
-            EngineError::BreakerOpen {
-                shard,
-                retry_after_ns,
-            } => write!(
-                f,
-                "shard {shard} circuit breaker is open; retry after {} ms",
-                retry_after_ns.div_ceil(1_000_000)
-            ),
         }
     }
 }
@@ -410,7 +395,7 @@ impl fmt::Display for EngineError {
 impl EngineError {
     /// Kind names indexed by the variant's position in the enum; the
     /// flight-recorder code is this index plus one (0 = success).
-    const KIND_NAMES: [&'static str; 12] = [
+    const KIND_NAMES: [&'static str; 11] = [
         "unknown_query",
         "unknown_session",
         "session_busy",
@@ -422,7 +407,6 @@ impl EngineError {
         "state_mismatch",
         "cut",
         "deadline_exceeded",
-        "breaker_open",
     ];
 
     fn kind_index(&self) -> usize {
@@ -438,7 +422,6 @@ impl EngineError {
             EngineError::StateMismatch => 8,
             EngineError::Cut(_) => 9,
             EngineError::DeadlineExceeded => 10,
-            EngineError::BreakerOpen { .. } => 11,
         }
     }
 
@@ -646,27 +629,6 @@ impl TreeCache {
     }
 }
 
-/// Lock-free shard-health signals (relaxed atomic reads, no locks) used by
-/// the [`crate::shard`] router to bias cold opens away from sick shards.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HealthCounters {
-    /// EXPANDs answered by any degradation-ladder rung since the last
-    /// stats-window reset.
-    pub degraded_expands: u64,
-    /// EXPANDs refused by the admission gate since the last reset.
-    pub shed_expands: u64,
-    /// Session operations that panicked and were caught since the last
-    /// reset.
-    pub session_panics: u64,
-    /// Poisoned sessions currently parked in the table (a live gauge, not
-    /// window-reset).
-    pub sessions_quarantined: usize,
-    /// Requests rejected expired-on-arrival since the last reset (the
-    /// fourth breaker baseline slot — a shard drowning in deadline misses
-    /// is sick even if it never degrades).
-    pub deadline_rejects: u64,
-}
-
 /// Serving telemetry snapshot; serializes into `BENCH_serve.json`.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ServeStats {
@@ -712,17 +674,13 @@ pub struct ServeStats {
     /// Requests rejected because their end-to-end deadline had already
     /// expired on arrival ([`EngineError::DeadlineExceeded`]).
     pub deadline_rejects: u64,
-    /// Requests fast-failed by an open circuit breaker
-    /// ([`EngineError::BreakerOpen`]; always 0 for a standalone engine —
-    /// breakers live in the sharded tier).
+    /// Always 0. The per-shard circuit breaker that counted here was
+    /// removed (it was never armed in the shipped tier); the field stays
+    /// because the wire benchmark still reports it as `breaker.rejects`.
     pub breaker_rejects: u64,
     /// The admission gate's live in-flight limit (summed across shards in
     /// a merged snapshot; 0 = ungated).
     pub admission_limit: u64,
-    /// Circuit-breaker state code ([`crate::breaker::BreakerState`]
-    /// discriminant; the max across shards in a merged snapshot, so any
-    /// non-closed breaker is visible at a glance).
-    pub breaker_state: u64,
     /// EXPAND operations measured.
     pub expand_count: usize,
     /// Median EXPAND latency, microseconds.
@@ -927,16 +885,6 @@ where
     /// (0 = ungated).
     pub fn admission_limit(&self) -> usize {
         self.policy.max_inflight_expands
-    }
-
-    /// EXPAND SLO burn rate over the current stats window, ×100, from the
-    /// lock-free latency histogram alone — safe on the sharded tier's
-    /// routing/health path where [`Engine::stats`] (which takes the cache
-    /// lock) is off-limits.
-    pub fn expand_burn_x100(&self) -> u64 {
-        let snap = self.expand_hist.snapshot();
-        let target_ns = slo_for(SloVerb::Expand).target_p99_ns;
-        (crate::slo::burn_rate(snap.count_at_or_below(target_ns), snap.total()) * 100.0) as u64
     }
 
     /// The active degradation/admission policy.
@@ -1765,11 +1713,8 @@ where
             shed_expands: self.shed_expands.load(Ordering::Relaxed),
             // Relaxed: deadline-reject tally, same snapshot semantics.
             deadline_rejects: self.deadline_rejects.load(Ordering::Relaxed),
-            // Breakers live in the sharded tier; the sharded stats merge
-            // overwrites these from its per-shard breakers.
             breaker_rejects: 0,
             admission_limit: self.policy.max_inflight_expands as u64,
-            breaker_state: 0,
             expand_count: snap.total() as usize,
             expand_p50_us: pct(0.50),
             expand_p95_us: pct(0.95),
@@ -1803,25 +1748,6 @@ where
             self.expand_hist.snapshot(),
             &self.stage,
         )
-    }
-
-    /// Lock-free health signals for routing decisions: relaxed atomic loads
-    /// only, **no** cache or session-table lock. The full [`Engine::stats`]
-    /// snapshot takes the cache lock for the cut-cache tallies, which a
-    /// router deciding where to place a cold open must never wait on — the
-    /// `no-cross-shard-lock` xtask rule polices exactly that path.
-    pub fn health(&self) -> HealthCounters {
-        HealthCounters {
-            // Relaxed: independent monotone tallies / gauges; a routing
-            // decision tolerates each being off by the in-flight operation.
-            degraded_expands: self.degraded_myopic.load(Ordering::Relaxed)
-                + self.degraded_static.load(Ordering::Relaxed),
-            shed_expands: self.shed_expands.load(Ordering::Relaxed),
-            // Relaxed: same independent-tally contract as the loads above.
-            session_panics: self.session_panics.load(Ordering::Relaxed),
-            sessions_quarantined: self.sessions_quarantined.load(Ordering::Relaxed),
-            deadline_rejects: self.deadline_rejects.load(Ordering::Relaxed),
-        }
     }
 
     /// Resets the telemetry window in one pass: the EXPAND latency
@@ -1941,10 +1867,6 @@ mod tests {
                 0,
             ))),
             EngineError::DeadlineExceeded,
-            EngineError::BreakerOpen {
-                shard: 0,
-                retry_after_ns: 1,
-            },
         ];
         assert_eq!(samples.len(), EngineError::KIND_NAMES.len());
         for e in &samples {

@@ -39,7 +39,6 @@ pub mod active;
 pub mod admission;
 pub mod baseline;
 mod bitset;
-pub mod breaker;
 pub mod complexity;
 pub mod cost;
 pub mod edgecut;
@@ -60,7 +59,6 @@ pub mod trace;
 pub use active::{ActiveTree, EdgeCut, EdgeCutError, VisNode};
 pub use admission::{AdmissionGate, ShedReason};
 pub use bitset::CitSet;
-pub use breaker::{Breaker, BreakerDecision, BreakerState};
 pub use cost::{CostParams, Planner};
 pub use engine::{
     DegradePolicy, DegradeReason, Engine, EngineError, ExpandReply, ScriptOp, ScriptOutcome,
@@ -69,7 +67,7 @@ pub use engine::{
 pub use fault::{FailSite, Fault, FaultPlan};
 pub use navtree::{NavNodeId, NavigationTree};
 pub use scratch::NavScratch;
-pub use shard::{HealthPolicy, ShardSessionId, ShardedEngine};
+pub use shard::{ShardSessionId, ShardedEngine};
 pub use slo::{Slo, SloBurn, SloVerb, SLOS};
 pub use trace::flightrec::{FlightRecord, RequestCtx, Verb};
 pub use trace::{Stage, StageStat};

@@ -280,7 +280,7 @@ pub fn prometheus_text_views(views: &[MetricsView]) -> String {
             // Exhaustive over [`crate::admission::ShedReason`] so a new
             // reason cannot ship without a series (label values are the
             // variants' `name()` strings: queue = admission gate,
-            // deadline = expired on arrival, breaker = circuit open).
+            // deadline = expired on arrival).
             series: |s| {
                 crate::admission::ShedReason::ALL
                     .iter()
@@ -288,9 +288,6 @@ pub fn prometheus_text_views(views: &[MetricsView]) -> String {
                         crate::admission::ShedReason::Queue => ("reason=\"queue\"", s.shed_expands),
                         crate::admission::ShedReason::Deadline => {
                             ("reason=\"deadline\"", s.deadline_rejects)
-                        }
-                        crate::admission::ShedReason::Breaker => {
-                            ("reason=\"breaker\"", s.breaker_rejects)
                         }
                     })
                     .collect()
@@ -308,19 +305,6 @@ pub fn prometheus_text_views(views: &[MetricsView]) -> String {
             help: "Admission-gate in-flight EXPAND cap (0 = ungated).",
             kind: "gauge",
             series: |s| vec![("", s.admission_limit)],
-        },
-        Family {
-            metric: "bionav_breaker_state",
-            help: "Circuit-breaker state (0 = closed, 1 = open, \
-                   2 = half-open).",
-            kind: "gauge",
-            series: |s| vec![("", s.breaker_state)],
-        },
-        Family {
-            metric: "bionav_breaker_rejects_total",
-            help: "Requests fast-failed by an open circuit breaker.",
-            kind: "counter",
-            series: |s| vec![("", s.breaker_rejects)],
         },
         Family {
             metric: "bionav_session_panics_total",
@@ -554,7 +538,6 @@ mod tests {
             deadline_rejects: 0,
             breaker_rejects: 0,
             admission_limit: 0,
-            breaker_state: 0,
             expand_count: 0,
             expand_p50_us: 0.0,
             expand_p95_us: 0.0,
@@ -628,9 +611,7 @@ mod tests {
         let mut stats = stats_fixture();
         stats.shed_expands = 3;
         stats.deadline_rejects = 7;
-        stats.breaker_rejects = 11;
         stats.admission_limit = 42;
-        stats.breaker_state = 2;
         let views = vec![MetricsView::new(
             "shard=\"1\"".to_string(),
             stats,
@@ -652,14 +633,10 @@ mod tests {
         }
         assert!(text.contains("bionav_shed_total{shard=\"1\",reason=\"queue\"} 3"));
         assert!(text.contains("bionav_shed_total{shard=\"1\",reason=\"deadline\"} 7"));
-        assert!(text.contains("bionav_shed_total{shard=\"1\",reason=\"breaker\"} 11"));
         assert!(text.contains("bionav_deadline_rejects_total{shard=\"1\"} 7"));
         assert!(text.contains("bionav_admission_limit{shard=\"1\"} 42"));
-        assert!(text.contains("bionav_breaker_state{shard=\"1\"} 2"));
-        assert!(text.contains("bionav_breaker_rejects_total{shard=\"1\"} 11"));
         // Gauge/counter kinds are declared correctly, exactly once.
         assert!(text.contains("# TYPE bionav_admission_limit gauge"));
-        assert!(text.contains("# TYPE bionav_breaker_state gauge"));
         assert!(text.contains("# TYPE bionav_shed_total counter"));
     }
 

@@ -148,14 +148,11 @@ fn rung_name(code: u8) -> &'static str {
 pub const SHED_QUEUE: u8 = crate::admission::ShedReason::Queue as u8 + 1;
 /// See [`SHED_QUEUE`].
 pub const SHED_DEADLINE: u8 = crate::admission::ShedReason::Deadline as u8 + 1;
-/// See [`SHED_QUEUE`].
-pub const SHED_BREAKER: u8 = crate::admission::ShedReason::Breaker as u8 + 1;
 
 fn shed_name(code: u8) -> &'static str {
     match code {
         SHED_QUEUE => crate::admission::ShedReason::Queue.name(),
         SHED_DEADLINE => crate::admission::ShedReason::Deadline.name(),
-        SHED_BREAKER => crate::admission::ShedReason::Breaker.name(),
         _ => "",
     }
 }
@@ -207,8 +204,8 @@ pub struct RawSummary {
     pub cache: u8,
     /// Degradation rung ([`RUNG_MYOPIC`] / [`RUNG_STATIC`]; 0 = exact).
     pub rung: u8,
-    /// Typed shed reason ([`SHED_QUEUE`] / [`SHED_DEADLINE`] /
-    /// [`SHED_BREAKER`]; 0 = not shed).
+    /// Typed shed reason ([`SHED_QUEUE`] / [`SHED_DEADLINE`]; 0 = not
+    /// shed).
     pub shed: u8,
     /// [`crate::engine::EngineError`] flight code (0 = ok).
     pub error: u8,
@@ -267,7 +264,7 @@ impl FlightEntry {
         rung_name(self.rung)
     }
 
-    /// `"queue"` / `"deadline"` / `"breaker"` / `""` (not shed).
+    /// `"queue"` / `"deadline"` / `""` (not shed).
     pub fn shed_name(&self) -> &'static str {
         shed_name(self.shed)
     }
@@ -767,7 +764,7 @@ pub fn note_rung(rung: u8) {
 pub fn note_rung(_rung: u8) {}
 
 /// Note the typed shed reason the request is refused with
-/// ([`SHED_QUEUE`] / [`SHED_DEADLINE`] / [`SHED_BREAKER`]).
+/// ([`SHED_QUEUE`] / [`SHED_DEADLINE`]).
 #[cfg(not(interleave))]
 pub fn note_shed(code: u8) {
     with_active(|p| p.shed = code);
@@ -1015,19 +1012,14 @@ mod tests {
         for (code, _reason) in [
             (SHED_QUEUE, ShedReason::Queue),
             (SHED_DEADLINE, ShedReason::Deadline),
-            (SHED_BREAKER, ShedReason::Breaker),
         ] {
             let mut s = raw(u64::from(code), Verb::Expand);
             s.shed = code;
             ring.push(&s);
         }
         let entries = ring.snapshot();
-        assert_eq!(entries.len(), 3);
-        for (e, reason) in
-            entries
-                .iter()
-                .zip([ShedReason::Queue, ShedReason::Deadline, ShedReason::Breaker])
-        {
+        assert_eq!(entries.len(), 2);
+        for (e, reason) in entries.iter().zip(ShedReason::ALL) {
             assert_eq!(e.shed, reason as u8 + 1);
             assert_eq!(e.shed_name(), reason.name());
         }

@@ -28,8 +28,8 @@ use bionav_core::fault::{self, FailSite, Fault, FaultPlan, INJECTED_PANIC_PREFIX
 use bionav_core::session::SessionState;
 use bionav_core::trace::flightrec;
 use bionav_core::{
-    BreakerState, CostParams, DegradePolicy, DegradeReason, Engine, EngineError, HealthPolicy,
-    NavNodeId, NavigationTree, RequestCtx, ScriptOp, ShardedEngine, SharedTree, Verb,
+    CostParams, DegradePolicy, DegradeReason, Engine, EngineError, NavNodeId, NavigationTree,
+    RequestCtx, ScriptOp, ShardedEngine, SharedTree, Verb,
 };
 use bionav_medline::corpus::{self, CorpusConfig};
 use bionav_medline::InvertedIndex;
@@ -813,13 +813,14 @@ fn queries_by_home_shard(
     homes
 }
 
-/// A panic storm armed with `only_shard(0)` on a two-shard tier: every
-/// typed failure lands on a job homed on shard 0, shard 1's outcomes are
-/// *bit-identical* to an unarmed pass of the same job tape, shard 1's
-/// health counters never move, and both shards drain fully — the blast
-/// radius of a shard-scoped fault is exactly one shard.
-#[test]
-fn shard_scoped_panic_storm_quarantines_only_shard_zero() {
+/// A solver-entry storm armed with `only_shard(0)` on a two-shard tier,
+/// with `action` as the fault: every shard-1 job replays *bit-identical*
+/// to an unarmed pass of the same job tape, shard 1's counters never
+/// move, and both shards drain fully — the blast radius of a shard-scoped
+/// fault is exactly one shard. On shard 0, a `Panic` storm fails jobs
+/// typed (one per fire) and a `Deadline` storm degrades every job onto
+/// the ladder without failing any.
+fn shard_scoped_storm_stays_on_shard_zero(action: Fault) {
     let _serial = chaos_lock();
     quiet_injected_panics();
     let reference_tier = fixture_sharded(2);
@@ -840,53 +841,66 @@ fn shard_scoped_panic_storm_quarantines_only_shard_zero() {
         .map(|r| r.expect("unarmed replay completes every job"))
         .collect();
 
-    // Storm pass: every solver entry on shard 0 dies; shard 1 is outside
+    // Storm pass: every solver entry on shard 0 faults; shard 1 is outside
     // the plan's scope and must not notice the storm at all.
     let storm_tier = fixture_sharded(2);
     let plan = FaultPlan::new(chaos_seed())
-        .site(FailSite::SolverEntry, 1, Fault::Panic)
+        .site(FailSite::SolverEntry, 1, action)
         .only_shard(0);
     let (outcomes, fires) = {
         let _armed = fault::scoped(plan);
         let outcomes = storm_tier.replay(&jobs, 4);
         (outcomes, fault::fires(FailSite::SolverEntry))
     };
+    assert!(fires > 0, "period-1 storm on shard 0 fired nothing");
 
     let mut panicked_jobs = 0u64;
     for (i, outcome) in outcomes.iter().enumerate() {
-        match outcome {
-            Ok(o) => {
+        match (home_of[i], action, outcome) {
+            (1, _, Ok(o)) => {
                 assert_eq!(
                     o.cost, reference[i].cost,
-                    "job {i} (shard {}): survived jobs must be bit-identical",
-                    home_of[i]
+                    "job {i} (shard 1): must be bit-identical"
+                );
+                assert_eq!(o.degraded_expands, 0, "job {i} (shard 1): degraded");
+            }
+            (0, Fault::Panic, Ok(o)) => {
+                assert_eq!(
+                    o.cost, reference[i].cost,
+                    "job {i} (shard 0): survived jobs must be bit-identical"
                 );
                 assert_eq!(o.degraded_expands, 0);
             }
-            Err(EngineError::SessionPanicked { message, .. }) => {
-                assert_eq!(
-                    home_of[i], 0,
-                    "job {i}: a shard-0-scoped storm killed a shard-{} job",
-                    home_of[i]
-                );
+            (0, Fault::Panic, Err(EngineError::SessionPanicked { message, .. })) => {
                 assert!(
                     message.starts_with(INJECTED_PANIC_PREFIX),
                     "job {i}: unexpected panic payload {message:?}"
                 );
                 panicked_jobs += 1;
             }
-            Err(other) => panic!("job {i}: unexpected typed error {other}"),
+            (0, Fault::Deadline, Ok(o)) => {
+                assert!(o.degraded_expands > 0, "job {i}: the storm must degrade");
+            }
+            (home, _, other) => panic!("job {i} (shard {home}): unexpected outcome {other:?}"),
         }
     }
-    assert!(panicked_jobs > 0, "period-1 storm on shard 0 fired nothing");
-    assert_eq!(panicked_jobs, fires, "typed errors must match fired faults");
 
     // Shard 1 never saw a fault; shard 0 absorbed every one of them.
-    let h1 = storm_tier.shard_health(1);
-    assert_eq!(h1.session_panics, 0, "the storm leaked across shards");
-    assert_eq!(h1.sessions_quarantined, 0);
-    assert_eq!(h1.degraded_expands, 0);
-    assert_eq!(storm_tier.shard_health(0).session_panics, fires);
+    let s1 = storm_tier.shard_stats(1);
+    assert_eq!(s1.session_panics, 0, "the storm leaked across shards");
+    assert_eq!(s1.sessions_quarantined, 0);
+    assert_eq!(s1.degraded_expands, 0, "the storm leaked across shards");
+    let s0 = storm_tier.shard_stats(0);
+    match action {
+        Fault::Panic => {
+            assert_eq!(panicked_jobs, fires, "typed errors must match fired faults");
+            assert_eq!(s0.session_panics, fires);
+        }
+        _ => {
+            assert_eq!(s0.session_panics, 0, "a degrading storm never panics");
+            assert!(s0.degraded_expands > 0);
+        }
+    }
     // And the whole tier drained: replay's error path closes what it kills.
     let merged = storm_tier.stats();
     assert_eq!(merged.sessions_active, 0);
@@ -894,177 +908,14 @@ fn shard_scoped_panic_storm_quarantines_only_shard_zero() {
     assert_eq!(merged.sessions_opened, merged.sessions_closed);
 }
 
-/// The health-bias reroute drill: a shard-0-scoped panic quarantines a
-/// session, tripping the tier's `max_quarantined` policy — new cold opens
-/// for shard-0-homed queries divert to shard 1 (and serve cleanly there
-/// even while the shard-0 storm is still armed), sticky routing still
-/// drains the poisoned session on shard 0, and placement snaps back to
-/// the home shard the moment the quarantined slot drains.
 #[test]
-fn health_bias_reroutes_cold_opens_and_snaps_back() {
-    let _serial = chaos_lock();
-    quiet_injected_panics();
-    let sharded = fixture_sharded(2).with_health_policy(HealthPolicy {
-        max_quarantined: 1,
-        ..HealthPolicy::default()
-    });
-    let homes = queries_by_home_shard(&sharded, 4);
-    let on_zero = homes[0][0].clone();
-
-    let doomed = sharded.open_session(&on_zero).expect("healthy tier opens");
-    assert_eq!(doomed.shard(), 0, "no bias yet: sticky home placement");
-
-    let plan = FaultPlan::new(11)
-        .site(FailSite::SolverEntry, 1, Fault::Panic)
-        .only_shard(0);
-    let _armed = fault::scoped(plan);
-    match sharded.expand(doomed, NavNodeId::ROOT) {
-        Err(EngineError::SessionPanicked { .. }) => {}
-        other => panic!("expected SessionPanicked on shard 0, got {other:?}"),
-    }
-    assert_eq!(sharded.shard_health(0).sessions_quarantined, 1);
-
-    // The tripped policy moves *new* opens off the sick shard…
-    assert_eq!(sharded.open_placement(&on_zero), 1);
-    let rerouted = sharded.open_session(&on_zero).expect("reroute opens");
-    assert_eq!(rerouted.shard(), 1, "cold open must divert to shard 1");
-    // …where it serves exactly, even with the shard-0 storm still armed
-    // (the shard filter keeps shard 1 outside the blast radius).
-    let reply = sharded
-        .expand(rerouted, NavNodeId::ROOT)
-        .expect("rerouted session serves on the healthy shard");
-    assert_eq!(reply.degraded, None);
-    sharded.close_session(rerouted).expect("rerouted drains");
-
-    // Stickiness: the poisoned session still routes to shard 0 and drains
-    // there; recovery snaps placement back to the home shard.
-    sharded.close_session(doomed).expect("quarantined drains");
-    assert_eq!(sharded.shard_health(0).sessions_quarantined, 0);
-    assert_eq!(sharded.open_placement(&on_zero), 0, "bias must lift");
-    let merged = sharded.stats();
-    assert_eq!(merged.sessions_active, 0);
-    assert_eq!(merged.sessions_opened, merged.sessions_closed);
+fn shard_scoped_panic_storm_stays_on_shard_zero() {
+    shard_scoped_storm_stays_on_shard_zero(Fault::Panic);
 }
 
-// ---------------------------------------------------------------------------
-// Circuit breaker: the shard-scoped slow-shard drill (DESIGN.md §5k)
-// ---------------------------------------------------------------------------
-
-/// The slow-shard drill: a shard-0-scoped Deadline storm at the solver
-/// entry degrades every shard-0 EXPAND onto the ladder, which trips
-/// *only* shard 0's breaker. While the storm is still armed, shard-1-homed
-/// jobs replay bit-identical to an unarmed reference tier and shard 1's
-/// health counters never move; sticky EXPANDs into the open breaker
-/// fast-fail typed with a live retry hint without touching the shard
-/// engine; and once the storm lifts, the jittered probe schedule re-closes
-/// the breaker and placement snaps back to the home shard.
 #[test]
-fn slow_shard_storm_trips_only_its_own_breaker_and_recovers() {
-    let _serial = chaos_lock();
-    let sharded = fixture_sharded(2).with_health_policy(HealthPolicy {
-        max_degraded_expands: 1,
-        // 200 ms open period: wide enough that the fast-fail asserts below
-        // run while the breaker is still open (even on a loaded CI box),
-        // short enough to recover in-test.
-        breaker_open_ns: 200_000_000,
-        breaker_seed: chaos_seed(),
-        ..HealthPolicy::default()
-    });
-    let homes = queries_by_home_shard(&sharded, 4);
-    let on_zero = homes[0][0].clone();
-
-    // Ground truth for the healthy shard: an unarmed reference tier
-    // replays the shard-1-homed job tape.
-    let well_jobs: Vec<(String, Vec<ScriptOp>)> = homes[1]
-        .iter()
-        .cloned()
-        .map(|q| (q, vec![ScriptOp::ExpandFully]))
-        .collect();
-    let reference: Vec<_> = fixture_sharded(2)
-        .replay(&well_jobs, 2)
-        .into_iter()
-        .map(|r| r.expect("unarmed replay completes every job"))
-        .collect();
-
-    let parked = sharded.open_session(&on_zero).unwrap();
-    assert_eq!(parked.shard(), 0, "sticky home placement before the storm");
-
-    let armed = fault::scoped(
-        FaultPlan::new(chaos_seed())
-            .site(FailSite::SolverEntry, 1, Fault::Deadline)
-            .only_shard(0),
-    );
-
-    // The slow shard *degrades* (the ladder answers); it does not error.
-    let reply = sharded.expand(parked, NavNodeId::ROOT).unwrap();
-    assert_eq!(reply.degraded, Some(DegradeReason::Fault));
-    assert!(!reply.revealed.is_empty());
-
-    // The next placement probe sees the degrade delta and trips only the
-    // faulted shard's breaker; cold opens divert to the well shard.
-    assert_eq!(sharded.open_placement(&on_zero), 1);
-    assert_eq!(sharded.breaker_state(0), BreakerState::Open);
-    assert_eq!(sharded.breaker(0).trips(), 1);
-    assert_eq!(sharded.breaker_state(1), BreakerState::Closed);
-    assert_eq!(sharded.breaker(1).trips(), 0);
-
-    // Sticky EXPANDs into the open breaker fast-fail typed with a live
-    // retry hint — and never reach the shard engine. (Checked right after
-    // the trip, well inside the 200 ms open period; the slower replay
-    // drill below would otherwise outlast the probe delay.)
-    let before = sharded.shard_stats(0).expand_count;
-    match sharded.expand(parked, NavNodeId::ROOT) {
-        Err(EngineError::BreakerOpen {
-            shard,
-            retry_after_ns,
-        }) => {
-            assert_eq!(shard, 0);
-            assert!(retry_after_ns >= 1, "retry hint must be live");
-        }
-        other => panic!("expected BreakerOpen, got {other:?}"),
-    }
-    assert_eq!(sharded.shard_stats(0).expand_count, before);
-    assert!(sharded.shard_stats(0).breaker_rejects >= 1);
-
-    // Blast radius: with the storm still armed, the well shard serves the
-    // whole tape bit-identical to the unarmed reference, and its health
-    // counters never move.
-    let stormy: Vec<_> = sharded
-        .replay(&well_jobs, 2)
-        .into_iter()
-        .map(|r| r.expect("well-shard replay completes under the storm"))
-        .collect();
-    for (i, (a, b)) in reference.iter().zip(&stormy).enumerate() {
-        assert_eq!(a.cost, b.cost, "well job {i}: cost diverged");
-        assert_eq!(b.degraded_expands, 0, "well job {i}: degraded");
-    }
-    assert_eq!(
-        sharded.shard_health(1).degraded_expands,
-        0,
-        "the storm leaked across shards"
-    );
-
-    // CLOSE bypasses the breaker: the sick shard stays drainable.
-    sharded.close_session(parked).unwrap();
-
-    // The storm lifts; stale counters reset; past the worst-case probe
-    // delay (open_ns + 25 % jitter), PROBES_TO_CLOSE healthy probes
-    // re-close the breaker and placement snaps back to the home shard.
-    drop(armed);
-    sharded.reset_shard_stats(0);
-    std::thread::sleep(std::time::Duration::from_millis(260));
-    for _ in 0..bionav_core::breaker::PROBES_TO_CLOSE {
-        assert_eq!(sharded.open_placement(&on_zero), 0);
-    }
-    assert_eq!(sharded.breaker_state(0), BreakerState::Closed);
-    assert_eq!(
-        sharded.open_placement(&on_zero),
-        0,
-        "placement snapped back"
-    );
-    let merged = sharded.stats();
-    assert_eq!(merged.sessions_active, 0);
-    assert_eq!(merged.sessions_opened, merged.sessions_closed);
+fn shard_scoped_deadline_storm_stays_on_shard_zero() {
+    shard_scoped_storm_stays_on_shard_zero(Fault::Deadline);
 }
 
 // ---------------------------------------------------------------------------

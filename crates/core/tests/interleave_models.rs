@@ -13,14 +13,10 @@
 //!    writer/reader races (DESIGN.md §5j),
 //! 5. the [`ShardedEngine`] tier (DESIGN.md §5h): concurrent open / route /
 //!    close across two shards keeps every per-shard and merged gauge
-//!    balanced, and a health-bias flip racing an in-flight cold open never
-//!    deadlocks, strands, or misroutes a session,
+//!    balanced,
 //! 6. the overload plane (DESIGN.md §5k): the
 //!    [`bionav_core::admission::AdmissionGate`] under racing
-//!    admit / release (books balance), and the
-//!    [`bionav_core::breaker::Breaker`] under racing trip/admit verdicts
-//!    and post-delay probe elections (one trip per CAS, no torn
-//!    baselines, probes accumulate without lost updates).
+//!    admit / release (books balance).
 //!
 //! Compiled and run only under `RUSTFLAGS='--cfg interleave'`, which swaps
 //! `bionav_core`'s sync shim onto the vendored `interleave` model checker:
@@ -45,8 +41,7 @@ use std::sync::Arc;
 use bionav_core::session::CutCache;
 use bionav_core::telemetry::LatencyHistogram;
 use bionav_core::{
-    CostParams, EdgeCut, Engine, EngineError, HealthPolicy, NavNodeId, NavigationTree,
-    ShardedEngine, SharedTree,
+    CostParams, EdgeCut, Engine, EngineError, NavNodeId, NavigationTree, ShardedEngine, SharedTree,
 };
 use bionav_medline::{Citation, CitationId, CitationStore};
 use bionav_mesh::{ConceptHierarchy, Descriptor, DescriptorId, TreeNumber};
@@ -431,7 +426,7 @@ fn sharded_open_route_close_gauge_consistency() {
                         assert_eq!(
                             id.shard(),
                             home,
-                            "no-bias routing must land on the sticky home shard"
+                            "ring routing must land on the sticky home shard"
                         );
                         let reply = sharded
                             .expand(id, NavNodeId::ROOT)
@@ -458,90 +453,8 @@ fn sharded_open_route_close_gauge_consistency() {
     );
 }
 
-/// A health-bias flip (shard 0's quarantine gauge tripping the policy)
-/// racing an in-flight cold open for a query homed on shard 0. Both orders
-/// are legal — the open may beat the flip and land home, or see it and
-/// divert to shard 1 — but in every schedule the opened session must be
-/// fully served *where it landed* (stickiness: bias moves only new opens,
-/// never live sessions), and once the quarantined slot drains, placement
-/// must snap back to the home shard.
-#[test]
-fn sharded_health_bias_flip_vs_inflight_open() {
-    let tree: SharedTree = Arc::new(fig3_tree());
-    let cfg = Config {
-        preemption_bound: 2,
-        max_executions: 400_000,
-        ..Config::default()
-    };
-    explore(
-        "sharded_health_bias_flip_vs_inflight_open",
-        cfg,
-        move || {
-            let (sharded, queries) = two_shard_tier(&tree);
-            let sharded = Arc::new(sharded.with_health_policy(HealthPolicy {
-                max_quarantined: 1,
-                ..HealthPolicy::default()
-            }));
-            let on_zero = queries[0].clone();
-            // The flip's raw material: a session on shard 0, opened before
-            // any concurrency, quarantined by the poisoner mid-model.
-            let doomed = sharded
-                .engine(0)
-                .open_session(&on_zero)
-                .expect("fixture query opens");
-            let poisoner = {
-                let sharded = Arc::clone(&sharded);
-                interleave::thread::spawn(move || {
-                    sharded.engine(0).model_quarantine(doomed);
-                })
-            };
-            let opener = {
-                let sharded = Arc::clone(&sharded);
-                let on_zero = on_zero.clone();
-                interleave::thread::spawn(move || {
-                    let id = sharded
-                        .open_session(&on_zero)
-                        .expect("a cold open always finds a shard");
-                    assert!(id.shard() < 2, "placement must name a real shard");
-                    let reply = sharded
-                        .expand(id, NavNodeId::ROOT)
-                        .expect("the session serves on whichever shard it landed");
-                    assert!(reply.degraded.is_none(), "clean path never degrades");
-                    sharded
-                        .close_session(id)
-                        .expect("sticky routing drains the session where it opened");
-                })
-            };
-            poisoner.join().unwrap();
-            opener.join().unwrap();
-            // Quarantine is now visible: new placements for the query must
-            // divert off the home shard while the slot sits poisoned...
-            assert_eq!(sharded.shard_health(0).sessions_quarantined, 1);
-            assert_eq!(
-                sharded.open_placement(&on_zero),
-                1,
-                "tripped policy must bias new opens off the home shard"
-            );
-            // ...and snap back the moment it drains.
-            sharded
-                .engine(0)
-                .close_session(doomed)
-                .expect("quarantined slot drains");
-            assert_eq!(
-                sharded.open_placement(&on_zero),
-                0,
-                "recovery must restore sticky placement"
-            );
-            let merged = sharded.stats();
-            assert_eq!(merged.sessions_active, 0, "merged gauge must balance");
-            assert_eq!(merged.sessions_opened, merged.sessions_closed);
-            assert_eq!(merged.sessions_quarantined, 0);
-        },
-    );
-}
-
 // ---------------------------------------------------------------------------
-// 3c. Overload plane: admission gate and circuit breaker (DESIGN.md §5k)
+// 3c. Overload plane: admission gate (DESIGN.md §5k)
 // ---------------------------------------------------------------------------
 
 /// Concurrent `try_admit` / guard-drop against one [`AdmissionGate`] at a
@@ -573,102 +486,6 @@ fn admission_gate_admit_release_races() {
                 .count();
             assert!(admitted <= 2, "admitted more than attempted");
             assert_eq!(gate.inflight(), 0, "books must balance after drops");
-        },
-    );
-}
-
-/// Two racing verdicts against one [`Breaker`] — one healthy, one
-/// unhealthy, at the same instant: whatever order the scheduler picks, the
-/// state must land on a real state code, at most one trip is recorded (the
-/// CAS serializes the transition), the reject count matches the rejected
-/// callers exactly, and the baselines are the trip winner's snapshot —
-/// never a torn mix.
-#[test]
-fn breaker_racing_trip_and_admit() {
-    use bionav_core::breaker::{Breaker, BreakerDecision, BreakerState};
-    explore("breaker_racing_trip_and_admit", Config::default(), || {
-        let breaker = Arc::new(Breaker::new());
-        const OPEN_NS: u64 = 1_000_000;
-        let workers: Vec<_> = (0..2u64)
-            .map(|t| {
-                let breaker = Arc::clone(&breaker);
-                interleave::thread::spawn(move || {
-                    let healthy = t == 0;
-                    // Distinct per-writer baselines so a torn snapshot
-                    // (slots from different writers) is detectable.
-                    let base = [10 + t; bionav_core::breaker::BASELINE_SLOTS];
-                    matches!(
-                        breaker.admit(100, healthy, OPEN_NS, 7, base),
-                        BreakerDecision::Reject { .. }
-                    )
-                })
-            })
-            .collect();
-        let rejected = workers
-            .into_iter()
-            .map(|w| w.join().unwrap())
-            .filter(|&b| b)
-            .count() as u64;
-        let state = breaker.state();
-        assert!(
-            matches!(state, BreakerState::Closed | BreakerState::Open),
-            "state must be a real code, got {state:?}"
-        );
-        // The unhealthy verdict always trips (the healthy caller may admit
-        // before or after, but never un-trips a just-opened breaker).
-        assert_eq!(state, BreakerState::Open, "the unhealthy verdict trips");
-        assert_eq!(breaker.trips(), 1, "the CAS serializes to one trip");
-        assert_eq!(breaker.rejects(), rejected, "rejects match the callers");
-        // Baselines are one writer's snapshot, not a torn mix: the tripper
-        // is the unhealthy writer (t == 1), so every slot reads 11.
-        for slot in 0..bionav_core::breaker::BASELINE_SLOTS {
-            assert_eq!(breaker.baseline(slot), 11, "torn baseline at {slot}");
-        }
-    });
-}
-
-/// An open breaker racing two probe candidates at the same post-delay
-/// instant: at most one may transition open → half-open (both may then be
-/// admitted as probes — legal — but the state machine must never land
-/// outside the three real states, and healthy probes must accumulate
-/// toward close without a lost update).
-#[test]
-fn breaker_racing_probes_after_the_delay() {
-    use bionav_core::breaker::{probe_delay_ns, Breaker, BreakerState, PROBES_TO_CLOSE};
-    explore(
-        "breaker_racing_probes_after_the_delay",
-        Config::default(),
-        || {
-            const OPEN_NS: u64 = 1_000_000;
-            const SEED: u64 = 7;
-            let breaker = Arc::new(Breaker::new());
-            let no_base = [0u64; bionav_core::breaker::BASELINE_SLOTS];
-            breaker.admit(0, false, OPEN_NS, SEED, no_base);
-            assert_eq!(breaker.state(), BreakerState::Open);
-            let probe_at = probe_delay_ns(OPEN_NS, SEED, 1);
-            let probes: Vec<_> = (0..2u64)
-                .map(|_| {
-                    let breaker = Arc::clone(&breaker);
-                    interleave::thread::spawn(move || {
-                        breaker.admit(probe_at, true, OPEN_NS, SEED, no_base)
-                    })
-                })
-                .collect();
-            for p in probes {
-                p.join().unwrap();
-            }
-            let state = breaker.state();
-            assert!(
-                matches!(state, BreakerState::HalfOpen | BreakerState::Closed),
-                "post-delay probes must leave open, got {state:?}"
-            );
-            // No lost update on the probe tally: two healthy probes landed;
-            // one more must close it in every schedule.
-            for _ in 0..PROBES_TO_CLOSE {
-                breaker.admit(probe_at + 1, true, OPEN_NS, SEED, no_base);
-            }
-            assert_eq!(breaker.state(), BreakerState::Closed);
-            assert_eq!(breaker.trips(), 1, "probing never re-trips a healthy shard");
         },
     );
 }

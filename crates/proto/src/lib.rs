@@ -165,14 +165,14 @@ pub enum Reply {
         json: String,
     },
     /// The request could not be served (bad session, bad node, malformed
-    /// payload, overload). The connection stays open.
+    /// payload, expired deadline). The connection stays open.
     Error {
         /// Human-readable cause.
         message: String,
     },
-    /// The request was refused by the overload-control plane (an open
-    /// shard circuit breaker) and is worth retrying — unlike
-    /// [`Reply::Error`], this carries a server-computed backoff hint.
+    /// The request was refused by the admission cap; worth retrying —
+    /// unlike [`Reply::Error`], this carries a server-computed backoff
+    /// hint.
     /// The connection stays open.
     Throttled {
         /// Human-readable cause.
@@ -535,7 +535,7 @@ mod tests {
                 message: "unknown session 7:9".into(),
             },
             Reply::Throttled {
-                message: "shard 3 circuit breaker is open".into(),
+                message: "engine overloaded; EXPAND shed".into(),
                 retry_after_ms: 125,
             },
         ];
