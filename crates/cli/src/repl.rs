@@ -545,7 +545,7 @@ impl Repl {
              sessions   : {opened} opened, {closed} closed, {active} active\n\
              EXPAND     : {n} measured, p50 {p50:.0} µs, p95 {p95:.0} µs, p99 {p99:.0} µs\n\
              throughput : {sps:.2} sessions/sec over {secs:.1} s\n\
-             fault plane: {deg} degraded ({myo} myopic / {sta} static), {shed} shed, {pan} panics, {quar} quarantined\n",
+             fault plane: {deg} degraded (static cut), {shed} shed, {pan} panics, {quar} quarantined\n",
             entries = st.cache_entries,
             cap = st.cache_capacity,
             hits = st.cache_hits,
@@ -562,8 +562,6 @@ impl Repl {
             sps = st.sessions_per_sec,
             secs = st.elapsed_secs,
             deg = st.degraded_expands,
-            myo = st.degraded_myopic,
-            sta = st.degraded_static,
             shed = st.shed_expands,
             pan = st.session_panics,
             quar = st.sessions_quarantined,
@@ -1090,7 +1088,7 @@ mod tests {
         // The overload-control columns render: every shard shows its
         // admission limit.
         assert!(table.contains("quar  adm"), "{table}");
-        let limit = r.engine.engine(0).admission_limit().to_string();
+        let limit = r.engine.shard_stats(0).admission_limit.to_string();
         assert!(table.contains(&limit), "{table}");
 
         let home = r.state.as_ref().expect("query opened").id.shard();

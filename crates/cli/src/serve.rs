@@ -612,6 +612,69 @@ mod tests {
         );
     }
 
+    /// A wire EXPAND whose deadline falls inside the engine's headroom is
+    /// answered by the static show-all-children cut: `degraded: true`, and
+    /// the root's hidden children in `ranked_children` order. A stall past
+    /// the deadline before the engine door is a correct typed reject, so
+    /// the test retries on it.
+    #[test]
+    fn near_deadline_wire_expand_gets_the_static_cut() {
+        use bionav_core::engine::DEADLINE_HEADROOM_NS;
+        let (engine, dataset, query) = tier();
+        let opened = apply(Request::Open { query }, &engine, &dataset);
+        let Reply::Opened { session, roots } = opened else {
+            panic!("expected Opened, got {opened:?}");
+        };
+        let id = ShardSessionId::from_bits(session);
+        let root = NavNodeId(roots[0].node);
+        let hidden: Vec<u32> = engine
+            .with_session(id, |s| {
+                bionav_core::baseline::ranked_children(s.nav(), root)
+                    .into_iter()
+                    .filter(|&c| !s.active().is_visible(c))
+                    .map(|c| c.0)
+                    .collect()
+            })
+            .expect("session is parked");
+        assert!(!hidden.is_empty(), "the demo root has hidden children");
+
+        let mut retries = 0;
+        let reply = loop {
+            let ctx = wire_request_ctx(Some(WireCtx {
+                request_id: 0,
+                session,
+                deadline_ns: bionav_core::trace::now_ns() + DEADLINE_HEADROOM_NS / 2,
+            }));
+            let _scope = flightrec::request_scope(ctx, Verb::Expand);
+            match apply(
+                Request::Expand {
+                    session,
+                    node: root.0,
+                },
+                &engine,
+                &dataset,
+            ) {
+                Reply::Error { message } if message.contains("deadline") && retries < 1_000 => {
+                    retries += 1
+                }
+                other => break other,
+            }
+        };
+        let Reply::Expanded { revealed, degraded } = reply else {
+            panic!("expected Expanded, got {reply:?}");
+        };
+        assert!(degraded, "the static rung answered");
+        let revealed: Vec<u32> = revealed.iter().map(|n| n.node).collect();
+        assert_eq!(revealed, hidden);
+        let stats = engine.shard_stats(id.shard());
+        assert_eq!(stats.degraded_static, 1);
+        assert_eq!(stats.deadline_rejects, retries);
+        assert_eq!(
+            apply(Request::Close { session }, &engine, &dataset),
+            Reply::Closed
+        );
+    }
+
     /// `error_reply` maps admission-cap sheds to `Throttled` (1 ms hint,
     /// `engine overloaded` message) and every other refusal to `Error`.
     #[test]

@@ -2,18 +2,21 @@
 //!
 //! [`AdmissionGate`] counts the EXPANDs currently inside one engine (= one
 //! shard) and refuses a new one with [`ShedReason::Queue`] once the count
-//! reaches the cap. The cap is the engine's
-//! [`DegradePolicy::max_inflight_expands`](crate::engine::DegradePolicy::max_inflight_expands),
-//! passed in on every [`AdmissionGate::try_admit`]; the policy only changes
-//! under `&mut Engine`, so the gate holds no copy of it that could go
-//! stale. DESIGN.md §5k gives the measurements behind a static cap rather
-//! than an adaptive one.
+//! reaches the cap. The engine passes [`MAX_INFLIGHT_EXPANDS`] on every
+//! [`AdmissionGate::try_admit`]; the interleave models pass a one-slot cap
+//! so a shed is reachable. DESIGN.md §5k gives the measurements behind a
+//! static cap rather than an adaptive one.
 //!
 //! The gate is one atomic counter: no locks, no clock, no thread-locals —
 //! which is what lets the interleave model checker explore concurrent
 //! admit/release schedules exhaustively (`tests/interleave_models.rs`).
 
 use crate::sync::{AtomicUsize, Ordering};
+
+/// The per-engine (= per-shard) in-flight EXPAND cap. `bionav serve` runs
+/// one thread per connection, so far fewer EXPANDs are ever in flight; the
+/// cap only bounds a runaway caller.
+pub const MAX_INFLIGHT_EXPANDS: usize = 1024;
 
 /// Why a request was refused before reaching the solver. The typed reason
 /// flows into the flight recorder (2-bit `shed` field), the Prometheus
@@ -66,15 +69,14 @@ impl AdmissionGate {
         self.inflight.load(Ordering::Relaxed)
     }
 
-    /// Tries to admit one request under `limit` in-flight requests (0
-    /// disables the gate). On success the returned guard holds the
-    /// in-flight slot until dropped; `None` means the caller must shed
-    /// with [`ShedReason::Queue`].
+    /// Tries to admit one request under `limit` in-flight requests. On
+    /// success the returned guard holds the in-flight slot until dropped;
+    /// `None` means the caller must shed with [`ShedReason::Queue`].
     pub fn try_admit(&self, limit: usize) -> Option<AdmitGuard<'_>> {
         // Relaxed: the counter is the only shared state; the optimistic
         // increment is undone before returning when over the limit.
         let prev = self.inflight.fetch_add(1, Ordering::Relaxed);
-        if limit != 0 && prev >= limit {
+        if prev >= limit {
             // Relaxed: undo of the optimistic increment above.
             self.inflight.fetch_sub(1, Ordering::Relaxed);
             return None;
@@ -122,16 +124,5 @@ mod tests {
         drop(g2);
         drop(g3);
         assert_eq!(gate.inflight(), 0, "books balance after drops");
-    }
-
-    #[test]
-    fn zero_limit_disables_the_gate() {
-        let gate = AdmissionGate::new();
-        let guards: Vec<_> = (0..64)
-            .map(|_| gate.try_admit(0).expect("no cap"))
-            .collect();
-        assert_eq!(gate.inflight(), 64);
-        drop(guards);
-        assert_eq!(gate.inflight(), 0);
     }
 }

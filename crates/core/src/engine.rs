@@ -41,16 +41,16 @@
 //!   `Result<_, `[`EngineError`]`>` instead of a bare `Option`, so callers
 //!   can tell an unknown query from a shed request from a quarantined
 //!   session.
-//! * **The degradation ladder** — under a configurable [`DegradePolicy`]
-//!   (deadline / component-size budget) or an injected fault
-//!   ([`fault`]), EXPAND degrades monotonically: exact
-//!   Opt-EdgeCut → retained-memo myopic cut → static show-all-children
-//!   cut. Every degraded answer is still a *valid* EdgeCut (validated by
-//!   the active tree), is flagged with a [`DegradeReason`] in the reply,
-//!   and is tallied in [`ServeStats`] / the trace plane
-//!   ([`Stage::Degraded`]) / the Prometheus exposition. With the default
-//!   policy and no armed faults the ladder never fires and per-query
-//!   costs are bit-identical to the exact pipeline (chaos-tested).
+//! * **The degradation ladder** — when a request's deadline is within
+//!   [`DEADLINE_HEADROOM_NS`] or an injected fault ([`fault`]) fires,
+//!   EXPAND answers with the static show-all-children cut instead of the
+//!   exact Opt-EdgeCut. The degraded answer is still a *valid* EdgeCut
+//!   (validated by the active tree), is flagged with a [`DegradeReason`]
+//!   in the reply, and is tallied in [`ServeStats`] / the trace plane
+//!   ([`Stage::Degraded`]) / the Prometheus exposition. Without a
+//!   deadline and with no armed faults the ladder never fires and
+//!   per-query costs are bit-identical to the exact pipeline
+//!   (chaos-tested).
 //! * **Panic isolation & quarantine** — EXPAND bodies and pool-worker
 //!   tasks run inside [`fault::isolate`]; a panic
 //!   becomes a typed error, the affected session is quarantined (visible
@@ -67,7 +67,7 @@ use std::sync::Arc;
 // interleave park/resume model explores the production protocol (§5d).
 use crate::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
 
-use crate::admission::AdmissionGate;
+use crate::admission::{AdmissionGate, MAX_INFLIGHT_EXPANDS};
 use crate::slo::{SloBurn, SloState, SloVerb};
 use crate::telemetry::LatencyHistogram;
 use crate::trace::flightrec::{self, Verb};
@@ -284,11 +284,9 @@ pub struct ScriptOutcome {
 /// exact planner (DESIGN.md §5f).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DegradeReason {
-    /// The [`DegradePolicy::expand_deadline_ns`] budget was already spent
-    /// when the planning decision was made.
+    /// The request's deadline ([`flightrec::RequestCtx::deadline_ns`]) was
+    /// within [`DEADLINE_HEADROOM_NS`] when the planning decision was made.
     Deadline,
-    /// The component exceeded [`DegradePolicy::exact_node_budget`] nodes.
-    StepBudget,
     /// An armed failpoint ([`crate::fault`]) fired at solver entry.
     Fault,
 }
@@ -298,7 +296,6 @@ impl DegradeReason {
     pub fn name(self) -> &'static str {
         match self {
             DegradeReason::Deadline => "deadline",
-            DegradeReason::StepBudget => "step_budget",
             DegradeReason::Fault => "fault",
         }
     }
@@ -332,8 +329,8 @@ pub enum EngineError {
     /// The session was quarantined after a panic; it no longer serves
     /// operations, but [`Engine::close_session`] still drains its state.
     Quarantined(SessionId),
-    /// The admission gate shed this EXPAND
-    /// ([`DegradePolicy::max_inflight_expands`]); nothing was executed.
+    /// The admission gate shed this EXPAND ([`MAX_INFLIGHT_EXPANDS`]);
+    /// nothing was executed.
     Overloaded,
     /// Building the navigation tree failed (builder panic or injected
     /// tree-build fault); carries the failure message.
@@ -456,48 +453,12 @@ impl From<EdgeCutError> for EngineError {
     }
 }
 
-/// Bounded-time serving policy: when EXPAND drops onto the degradation
-/// ladder, and how much concurrent EXPAND load the engine admits
-/// (DESIGN.md §5f). The default policy never degrades and admits far more
-/// in-flight EXPANDs than any worker pool this engine runs — the clean
-/// serve path is unchanged (chaos-tested bit-identical).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradePolicy {
-    /// Wall-clock budget for one EXPAND, nanoseconds, measured from
-    /// admission (lock waits included). If it is already spent when the
-    /// planning decision is made, the ladder answers instead of the exact
-    /// solver. `0` disables the deadline.
-    pub expand_deadline_ns: u64,
-    /// Largest component (node count) the exact planner is given; bigger
-    /// components degrade. `0` disables the budget.
-    pub exact_node_budget: usize,
-    /// Maximum concurrently in-flight EXPANDs before the admission gate
-    /// sheds with [`EngineError::Overloaded`]. `0` disables the gate.
-    pub max_inflight_expands: usize,
-    /// When a request carries an absolute deadline
-    /// ([`flightrec::RequestCtx::deadline_ns`]), skip the exact planner if
-    /// fewer than this many nanoseconds remain at planning time (the exact
-    /// solve would likely blow the budget; the ladder answers instead).
-    /// Only consulted for deadline-carrying requests, so oracle runs
-    /// (deadline 0) never see it.
-    pub deadline_exact_headroom_ns: u64,
-    /// When a deadline-carrying request has fewer than this many
-    /// nanoseconds left, the ladder skips even the myopic rung and answers
-    /// with the static show-all-children cut.
-    pub deadline_static_headroom_ns: u64,
-}
-
-impl Default for DegradePolicy {
-    fn default() -> Self {
-        DegradePolicy {
-            expand_deadline_ns: 0,
-            exact_node_budget: 0,
-            max_inflight_expands: 1024,
-            deadline_exact_headroom_ns: 5_000_000,
-            deadline_static_headroom_ns: 1_000_000,
-        }
-    }
-}
+/// When a request carries an absolute deadline
+/// ([`flightrec::RequestCtx::deadline_ns`]) and fewer than this many
+/// nanoseconds remain at planning time, the exact solve would likely blow
+/// the budget, so the static rung answers instead. Requests without a
+/// deadline (every oracle run) never consult it.
+pub const DEADLINE_HEADROOM_NS: u64 = 5_000_000;
 
 /// How many distinct components each per-tree [`CutCache`] memoizes before
 /// it stops inserting (fixed memory per cached tree).
@@ -664,12 +625,15 @@ pub struct ServeStats {
     /// EXPANDs answered by the degradation ladder (any rung) in this
     /// stats window. 0 on the clean serve path.
     pub degraded_expands: u64,
-    /// Ladder EXPANDs answered by the retained-memo myopic rung.
+    /// Always 0. The retained-memo myopic rung that counted here was
+    /// removed (no shipped tier retains plans, so it never answered); the
+    /// field stays because the wire benchmark still reports it as
+    /// `engine.degraded_myopic`.
     pub degraded_myopic: u64,
     /// Ladder EXPANDs answered by the static show-all-children rung.
     pub degraded_static: u64,
-    /// EXPANDs shed by the admission gate
-    /// ([`DegradePolicy::max_inflight_expands`]) in this stats window.
+    /// EXPANDs shed by the admission gate ([`MAX_INFLIGHT_EXPANDS`]) in
+    /// this stats window.
     pub shed_expands: u64,
     /// Requests rejected because their end-to-end deadline had already
     /// expired on arrival ([`EngineError::DeadlineExceeded`]).
@@ -678,8 +642,8 @@ pub struct ServeStats {
     /// removed (it was never armed in the shipped tier); the field stays
     /// because the wire benchmark still reports it as `breaker.rejects`.
     pub breaker_rejects: u64,
-    /// The admission gate's live in-flight limit (summed across shards in
-    /// a merged snapshot; 0 = ungated).
+    /// The admission gate's in-flight limit, [`MAX_INFLIGHT_EXPANDS`]
+    /// (summed across shards in a merged snapshot).
     pub admission_limit: u64,
     /// EXPAND operations measured.
     pub expand_count: usize,
@@ -779,18 +743,14 @@ where
     /// Start of the current stats window, as a [`trace::now_ns`] offset
     /// (reset by [`Engine::reset_stats`]).
     started_ns: AtomicU64,
-    /// Degradation-ladder / admission policy (DESIGN.md §5f).
-    policy: DegradePolicy,
     /// The in-flight EXPAND gate (DESIGN.md §5k), capped at
-    /// [`DegradePolicy::max_inflight_expands`].
+    /// [`MAX_INFLIGHT_EXPANDS`].
     admission: AdmissionGate,
     /// EXPANDs shed by the admission gate in the current stats window.
     shed_expands: AtomicU64,
     /// Requests rejected because their end-to-end deadline had already
     /// expired on arrival, in the current stats window.
     deadline_rejects: AtomicU64,
-    /// Ladder answers from the retained-memo myopic rung.
-    degraded_myopic: AtomicU64,
     /// Ladder answers from the static show-all-children rung.
     degraded_static: AtomicU64,
     /// Sessions ever quarantined (monotone within a stats window).
@@ -809,9 +769,7 @@ where
     B: Fn(&str) -> Option<SharedTree> + Send + Sync,
 {
     /// Creates an engine with the given tree builder, session cost
-    /// parameters, and tree-cache capacity. The degradation/admission
-    /// policy defaults to "never degrade" ([`DegradePolicy::default`]);
-    /// set one with [`Engine::with_policy`] or [`Engine::set_policy`].
+    /// parameters, and tree-cache capacity.
     pub fn new(builder: B, params: CostParams, cache_capacity: usize) -> Self {
         Engine {
             builder,
@@ -827,11 +785,9 @@ where
             stage: StageMetrics::new(),
             slo: SloState::new(),
             started_ns: AtomicU64::new(trace::now_ns()),
-            policy: DegradePolicy::default(),
             admission: AdmissionGate::new(),
             shed_expands: AtomicU64::new(0),
             deadline_rejects: AtomicU64::new(0),
-            degraded_myopic: AtomicU64::new(0),
             degraded_static: AtomicU64::new(0),
             session_panics: AtomicU64::new(0),
             sessions_quarantined: AtomicUsize::new(0),
@@ -840,9 +796,9 @@ where
     }
 
     /// Tag every operation on this engine as belonging to fault-plane
-    /// shard `shard` (see [`fault::enter_shard`]). Takes `&mut self` like
-    /// [`Engine::set_policy`]: tagging happens once, at sharded-tier
-    /// construction, before any worker holds the engine.
+    /// shard `shard` (see [`fault::enter_shard`]). Takes `&mut self`:
+    /// tagging happens once, at sharded-tier construction, before any
+    /// worker holds the engine.
     pub fn set_fault_shard(&mut self, shard: usize) {
         self.fault_shard = shard as u64;
     }
@@ -866,30 +822,6 @@ where
             flightrec::note_shard(self.fault_shard as usize);
         }
         scope
-    }
-
-    /// Builder-style [`DegradePolicy`] override.
-    pub fn with_policy(mut self, policy: DegradePolicy) -> Self {
-        self.set_policy(policy);
-        self
-    }
-
-    /// Replace the degradation/admission policy. Takes `&mut self`: the
-    /// policy is plain data read by serving threads, so it can only change
-    /// while no worker holds the engine.
-    pub fn set_policy(&mut self, policy: DegradePolicy) {
-        self.policy = policy;
-    }
-
-    /// The admission cap, [`DegradePolicy::max_inflight_expands`]
-    /// (0 = ungated).
-    pub fn admission_limit(&self) -> usize {
-        self.policy.max_inflight_expands
-    }
-
-    /// The active degradation/admission policy.
-    pub fn policy(&self) -> &DegradePolicy {
-        &self.policy
     }
 
     /// Drain the calling thread's capture tape into the per-stage metrics.
@@ -1193,7 +1125,7 @@ where
     /// [`EngineError::Overloaded`]. The returned guard releases the slot
     /// on drop (panic-safe — a quarantined EXPAND still releases).
     fn admit_expand(&self) -> Result<crate::admission::AdmitGuard<'_>, EngineError> {
-        match self.admission.try_admit(self.policy.max_inflight_expands) {
+        match self.admission.try_admit(MAX_INFLIGHT_EXPANDS) {
             Some(guard) => Ok(guard),
             None => {
                 // Relaxed: monotone statistics counter.
@@ -1222,14 +1154,8 @@ where
     }
 
     /// Decide whether this EXPAND degrades, and why — evaluated with the
-    /// session lock held, before any planning work. `t0` is the admission
-    /// timestamp (so lock waits count against the deadline).
-    fn choose_degrade(
-        &self,
-        session: &Session<SharedTree>,
-        node: NavNodeId,
-        t0: u64,
-    ) -> Option<DegradeReason> {
+    /// session lock held, before any planning work.
+    fn choose_degrade(&self) -> Option<DegradeReason> {
         // Failpoint: solver entry (DESIGN.md §5f).
         if let Some(f) = fault::hit(FailSite::SolverEntry) {
             match f {
@@ -1237,83 +1163,39 @@ where
                 _ => return Some(DegradeReason::Fault),
             }
         }
-        let budget = self.policy.exact_node_budget;
-        if budget != 0 && session.component_size(node) > budget {
-            return Some(DegradeReason::StepBudget);
-        }
-        let deadline = self.policy.expand_deadline_ns;
-        if deadline != 0 && trace::now_ns().saturating_sub(t0) >= deadline {
-            return Some(DegradeReason::Deadline);
-        }
         // A request-scoped absolute deadline (wire [`flightrec::RequestCtx`])
-        // degrades the same way as the policy budget, with headroom: if the
-        // remaining budget is smaller than the exact solver's expected cost
-        // the ladder answers *before* the deadline blows, not after. 0 = no
-        // deadline in the context — the default, so reproduce passes stay
-        // bit-identical.
-        let ctx_deadline = flightrec::current_deadline_ns();
-        if ctx_deadline != 0
-            && trace::now_ns().saturating_add(self.policy.deadline_exact_headroom_ns)
-                >= ctx_deadline
-        {
+        // degrades with headroom: if the remaining budget is smaller than
+        // the exact solver's expected cost the ladder answers *before* the
+        // deadline blows, not after. 0 = no deadline in the context — the
+        // default, so reproduce passes stay bit-identical.
+        let deadline = flightrec::current_deadline_ns();
+        if deadline != 0 && trace::now_ns().saturating_add(DEADLINE_HEADROOM_NS) >= deadline {
             return Some(DegradeReason::Deadline);
         }
         None
     }
 
-    /// The graceful-degradation ladder (DESIGN.md §5f), monotone by
-    /// construction: exact Opt-EdgeCut → retained-memo myopic cut → static
-    /// show-all-children cut. Each rung either answers with a valid,
-    /// [`ActiveTree`](crate::active::ActiveTree)-validated EdgeCut or
-    /// falls to the next; only a failure no rung can fix (hidden node,
-    /// singleton component) surfaces as an error.
+    /// The graceful-degradation ladder (DESIGN.md §5f): exact Opt-EdgeCut,
+    /// or — when [`Engine::choose_degrade`] says so — the static
+    /// show-all-children cut. Both rungs answer with a valid,
+    /// [`ActiveTree`](crate::active::ActiveTree)-validated EdgeCut; only a
+    /// failure no rung can fix (hidden node, singleton component) surfaces
+    /// as an error.
     fn ladder_expand(
         &self,
         session: &mut Session<SharedTree>,
         cuts: &CutCache,
         node: NavNodeId,
-        t0: u64,
     ) -> Result<(Vec<NavNodeId>, Option<DegradeReason>), EdgeCutError> {
-        match self.choose_degrade(session, node, t0) {
-            None => session.expand_cached(node, cuts).map(|r| (r, None)),
-            Some(reason) => {
-                let _sp = trace::span(Stage::Degraded);
-                // Near-exhausted deadline budget: even the myopic rung is a
-                // risk, so jump straight to the constant-time static cut.
-                let ctx_deadline = flightrec::current_deadline_ns();
-                if ctx_deadline != 0
-                    && trace::now_ns().saturating_add(self.policy.deadline_static_headroom_ns)
-                        >= ctx_deadline
-                {
-                    let revealed = session.expand_static(node)?;
-                    // Relaxed: telemetry tally, nothing ordered through it.
-                    self.degraded_static.fetch_add(1, Ordering::Relaxed);
-                    flightrec::note_rung(flightrec::RUNG_STATIC);
-                    return Ok((revealed, Some(reason)));
-                }
-                match session.expand_degraded_memo(node) {
-                    Some(Ok(revealed)) => {
-                        // Relaxed: telemetry tally, nothing ordered through it.
-                        self.degraded_myopic.fetch_add(1, Ordering::Relaxed);
-                        flightrec::note_rung(flightrec::RUNG_MYOPIC);
-                        Ok((revealed, Some(reason)))
-                    }
-                    Some(Err(EdgeCutError::NotAComponentRoot(n))) => {
-                        // No rung can expand a hidden node.
-                        Err(EdgeCutError::NotAComponentRoot(n))
-                    }
-                    // No retained plan (or the memo cut no longer applies):
-                    // drop to the static rung.
-                    None | Some(Err(_)) => {
-                        let revealed = session.expand_static(node)?;
-                        // Relaxed: telemetry tally, nothing ordered through it.
-                        self.degraded_static.fetch_add(1, Ordering::Relaxed);
-                        flightrec::note_rung(flightrec::RUNG_STATIC);
-                        Ok((revealed, Some(reason)))
-                    }
-                }
-            }
-        }
+        let Some(reason) = self.choose_degrade() else {
+            return session.expand_cached(node, cuts).map(|r| (r, None));
+        };
+        let _sp = trace::span(Stage::Degraded);
+        let revealed = session.expand_static(node)?;
+        // Relaxed: telemetry tally, nothing ordered through it.
+        self.degraded_static.fetch_add(1, Ordering::Relaxed);
+        flightrec::note_rung(flightrec::RUNG_STATIC);
+        Ok((revealed, Some(reason)))
     }
 
     /// One gated, panic-isolated EXPAND over an already-resolved session
@@ -1345,7 +1227,7 @@ where
             };
             // lint: allow(lock-across-solve) — per-session lock: one
             // navigator per session by protocol; sessions never contend
-            Ok(self.ladder_expand(&mut session, cuts, node, t0))
+            Ok(self.ladder_expand(&mut session, cuts, node))
         });
         let ns = trace::now_ns().saturating_sub(t0);
         match isolated {
@@ -1676,6 +1558,8 @@ where
         // each load is individually coherent and that is all we report.
         let opened = self.sessions_opened.load(Ordering::Relaxed);
         let closed = self.sessions_closed.load(Ordering::Relaxed);
+        // Relaxed: ladder tally, same snapshot semantics.
+        let degraded = self.degraded_static.load(Ordering::Relaxed);
         // Relaxed: the window start is telemetry; a racing reset only skews
         // one snapshot's elapsed figure.
         let elapsed =
@@ -1702,19 +1586,17 @@ where
             sessions_quarantined: self.sessions_quarantined.load(Ordering::Relaxed),
             // Relaxed: ditto — monotone panic tally, no cross-counter order.
             session_panics: self.session_panics.load(Ordering::Relaxed),
-            // Relaxed: the total is a sum of two independent tallies; a
-            // snapshot racing an increment is off by at most the in-flight op.
-            degraded_expands: self.degraded_myopic.load(Ordering::Relaxed)
-                + self.degraded_static.load(Ordering::Relaxed),
-            // Relaxed: per-rung tallies, same snapshot semantics.
-            degraded_myopic: self.degraded_myopic.load(Ordering::Relaxed),
-            degraded_static: self.degraded_static.load(Ordering::Relaxed),
+            // The static rung is the only degraded rung: its tally is the
+            // total.
+            degraded_expands: degraded,
+            degraded_myopic: 0,
+            degraded_static: degraded,
             // Relaxed: admission-shed tally, same snapshot semantics.
             shed_expands: self.shed_expands.load(Ordering::Relaxed),
             // Relaxed: deadline-reject tally, same snapshot semantics.
             deadline_rejects: self.deadline_rejects.load(Ordering::Relaxed),
             breaker_rejects: 0,
-            admission_limit: self.policy.max_inflight_expands as u64,
+            admission_limit: MAX_INFLIGHT_EXPANDS as u64,
             expand_count: snap.total() as usize,
             expand_p50_us: pct(0.50),
             expand_p95_us: pct(0.95),
@@ -1771,7 +1653,6 @@ where
         // quarantine *gauge* is deliberately NOT reset — it tracks parked
         // poisoned sessions still in the table, like the live-session gauge.
         self.session_panics.store(0, Ordering::Relaxed);
-        self.degraded_myopic.store(0, Ordering::Relaxed);
         // Relaxed: same window-restart semantics as the stores above.
         self.degraded_static.store(0, Ordering::Relaxed);
         self.shed_expands.store(0, Ordering::Relaxed);
@@ -2235,22 +2116,72 @@ mod tests {
 
     #[test]
     fn admission_gate_sheds_past_the_inflight_limit() {
-        let engine = fixture_engine().with_policy(DegradePolicy {
-            max_inflight_expands: 2,
-            ..DegradePolicy::default()
-        });
-        // Exercise the gate mechanics directly: two slots admit, the third
-        // sheds, and dropping a guard frees its slot.
-        let g1 = engine.admit_expand().unwrap();
-        let _g2 = engine.admit_expand().unwrap();
+        let engine = fixture_engine();
+        // Exercise the gate mechanics directly: the cap's worth of slots
+        // admits, the next sheds, and dropping a guard frees its slot.
+        let mut held: Vec<_> = (0..MAX_INFLIGHT_EXPANDS)
+            .map(|_| engine.admit_expand().unwrap())
+            .collect();
         assert!(matches!(
             engine.admit_expand(),
             Err(EngineError::Overloaded)
         ));
         assert_eq!(engine.stats().shed_expands, 1);
-        drop(g1);
-        let _g3 = engine.admit_expand().unwrap();
+        held.pop();
+        let _g = engine.admit_expand().unwrap();
         assert_eq!(engine.stats().shed_expands, 1, "freed slot admits again");
+    }
+
+    #[test]
+    fn admission_gate_accounting_balances_under_concurrency() {
+        let engine = fixture_engine();
+        let query = fixture_query(&engine);
+        let sessions: Vec<_> = (0..4)
+            .map(|_| engine.open_session(&query).unwrap())
+            .collect();
+        // Hold every slot but one, so the threads below race through a
+        // one-slot gate.
+        let held: Vec<_> = (1..MAX_INFLIGHT_EXPANDS)
+            .map(|_| engine.admit_expand().unwrap())
+            .collect();
+
+        // Four threads hammer EXPAND through the one free slot. Whether any
+        // request is actually shed is scheduling-dependent (never
+        // asserted); what must hold is the books: served + shed ==
+        // attempted, and the engine's shed counter matches the callers'
+        // observations.
+        let (served, shed) = std::thread::scope(|scope| {
+            let handles: Vec<_> = sessions
+                .iter()
+                .map(|&id| {
+                    let engine = &engine;
+                    scope.spawn(move || {
+                        let mut served = 0u64;
+                        let mut shed = 0u64;
+                        for _ in 0..8 {
+                            match engine.expand(id, NavNodeId::ROOT) {
+                                Ok(_) | Err(EngineError::Cut(_)) => served += 1,
+                                Err(EngineError::Overloaded) => shed += 1,
+                                Err(other) => panic!("unexpected refusal: {other}"),
+                            }
+                        }
+                        (served, shed)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("gate worker panicked"))
+                .fold((0u64, 0u64), |(s, d), (a, b)| (s + a, d + b))
+        });
+        assert_eq!(served + shed, 32, "every attempt accounted for");
+        let stats = engine.stats();
+        assert_eq!(stats.shed_expands, shed, "engine agrees with the callers");
+        assert_eq!(stats.degraded_expands, 0, "shedding is not degradation");
+        drop(held);
+        for id in sessions {
+            engine.close_session(id).unwrap();
+        }
     }
 
     #[test]
@@ -2304,65 +2235,34 @@ mod tests {
     #[test]
     fn near_deadline_requests_skip_straight_to_the_static_rung() {
         // A live-but-tight deadline must not be burned on planning work:
-        // with the static headroom spanning the whole remaining budget the
-        // ladder answers with the constant-time static cut immediately.
-        let engine = fixture_engine().with_policy(DegradePolicy {
-            deadline_exact_headroom_ns: 3_600_000_000_000,
-            deadline_static_headroom_ns: 3_600_000_000_000,
-            ..DegradePolicy::default()
-        });
+        // with less than the headroom left, the ladder answers with the
+        // constant-time static cut. Once the door check passes, the rung
+        // choice is deterministic (now + headroom always reaches a deadline
+        // set half a headroom out). A stall past the deadline before the
+        // door is a correct typed reject, so the loop retries and counts it.
+        let engine = fixture_engine();
         let query = fixture_query(&engine);
         let id = engine.open_session(&query).unwrap();
-        let reply = {
+        let mut retries = 0;
+        let reply = loop {
             let _scope = flightrec::request_scope(
                 flightrec::RequestCtx {
                     request_id: flightrec::mint_request_id(),
                     session: None,
-                    // Far enough out that the door check always passes,
-                    // inside both headrooms so the rung choice is
-                    // deterministic (no wall-clock race).
-                    deadline_ns: trace::now_ns() + 600_000_000_000,
+                    deadline_ns: trace::now_ns() + DEADLINE_HEADROOM_NS / 2,
                 },
                 Verb::Expand,
             );
-            engine.expand(id, NavNodeId::ROOT).unwrap()
+            match engine.expand(id, NavNodeId::ROOT) {
+                Err(EngineError::DeadlineExceeded) if retries < 1_000 => retries += 1,
+                other => break other.unwrap(),
+            }
         };
         assert_eq!(reply.degraded, Some(DegradeReason::Deadline));
         assert!(!reply.revealed.is_empty());
         let stats = engine.stats();
         assert_eq!(stats.degraded_static, 1, "static rung must answer");
-        assert_eq!(stats.degraded_myopic, 0, "myopic rung must be skipped");
-        assert_eq!(stats.deadline_rejects, 0, "the request was served");
-        engine.close_session(id).unwrap();
-    }
-
-    #[test]
-    fn step_budget_degrades_to_a_valid_static_cut() {
-        // An absurdly small exact-planner budget forces every EXPAND onto
-        // the ladder; with no retained plans the static rung answers.
-        let engine = fixture_engine().with_policy(DegradePolicy {
-            exact_node_budget: 1,
-            ..DegradePolicy::default()
-        });
-        let query = fixture_query(&engine);
-        let id = engine.open_session(&query).unwrap();
-        let reply = engine.expand(id, NavNodeId::ROOT).unwrap();
-        assert_eq!(reply.degraded, Some(DegradeReason::StepBudget));
-        assert!(!reply.revealed.is_empty());
-        // The degraded answer is a real expansion: the revealed nodes are
-        // visible and the session keeps navigating.
-        engine
-            .with_session(id, |s| {
-                for &n in &reply.revealed {
-                    assert!(s.active().is_visible(n));
-                }
-                assert_eq!(s.cost().expands, 1);
-            })
-            .unwrap();
-        let stats = engine.stats();
-        assert_eq!(stats.degraded_expands, 1);
-        assert_eq!(stats.degraded_static, 1);
-        assert_eq!(stats.degraded_myopic, 0);
+        assert_eq!(stats.deadline_rejects, retries, "only the door rejects");
         engine.close_session(id).unwrap();
     }
 
@@ -2370,7 +2270,7 @@ mod tests {
     // bit-identical forced cache misses) live in `tests/chaos.rs` — the
     // registry is process-global and the lib test binary runs on parallel
     // threads, so arming here would leak faults into unrelated tests. The
-    // policy-driven tests above (gate, step budget) never arm the registry.
+    // gate and deadline tests above never arm the registry.
 
     #[test]
     fn serve_stats_json_roundtrip_reports_errors() {

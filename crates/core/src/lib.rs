@@ -61,8 +61,8 @@ pub use admission::{AdmissionGate, ShedReason};
 pub use bitset::CitSet;
 pub use cost::{CostParams, Planner};
 pub use engine::{
-    DegradePolicy, DegradeReason, Engine, EngineError, ExpandReply, ScriptOp, ScriptOutcome,
-    ServeStats, SessionId, SharedTree,
+    DegradeReason, Engine, EngineError, ExpandReply, ScriptOp, ScriptOutcome, ServeStats,
+    SessionId, SharedTree,
 };
 pub use fault::{FailSite, Fault, FaultPlan};
 pub use navtree::{NavNodeId, NavigationTree};

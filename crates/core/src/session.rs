@@ -457,42 +457,7 @@ impl<T: Borrow<NavigationTree>> Session<T> {
         Ok(revealed)
     }
 
-    /// Degradation-ladder rung 1 (DESIGN.md §5f): cut `node`'s component
-    /// from its **retained reduced-plan memo** with the myopic
-    /// ([`Planner::Exhaustive`](crate::cost::Planner::Exhaustive)) solver
-    /// plane — a bounded-time answer (a memo probe plus one shallow
-    /// enumeration over ≤ `max_partitions` supernodes; no partitioning, no
-    /// recursive DP).
-    ///
-    /// Returns `None` when the rung does not apply — no retained plan for
-    /// this component (sessions without [`CostParams::reuse_plans`], or a
-    /// component that never came out of a planned cut) or a plan exhausted
-    /// to a single supernode — so the ladder can drop to the static rung.
-    /// `Some(Err(_))` reports a real cut failure (e.g. expanding a hidden
-    /// node), which no lower rung can fix either.
-    pub fn expand_degraded_memo(
-        &mut self,
-        node: NavNodeId,
-    ) -> Option<Result<Vec<NavNodeId>, EdgeCutError>> {
-        if !self.active.is_visible(node) {
-            return Some(Err(EdgeCutError::NotAComponentRoot(node)));
-        }
-        let entry = self.plans.get(&node).cloned()?;
-        let myopic = CostParams {
-            planner: crate::cost::Planner::Exhaustive,
-            ..self.params.clone()
-        };
-        let planned = entry.plan.cut(entry.mask, &myopic)?;
-        match self.expand_with(node, &planned.cut) {
-            Ok(revealed) => {
-                self.register_plan(node, &entry.plan, planned.upper_mask, &planned.lowers);
-                Some(Ok(revealed))
-            }
-            Err(e) => Some(Err(e)),
-        }
-    }
-
-    /// Degradation-ladder rung 2 (DESIGN.md §5f): the static
+    /// The degradation ladder's fallback rung (DESIGN.md §5f): the static
     /// show-all-children cut — reveal every hidden child of `node`, ranked
     /// like the paper's GoPubMed-style baseline
     /// ([`baseline::ranked_children`](crate::baseline::ranked_children)).
@@ -945,43 +910,6 @@ mod tests {
             assert!(matches!(
                 s.expand_static(hidden),
                 Err(EdgeCutError::NotAComponentRoot(_))
-            ));
-        }
-    }
-
-    #[test]
-    fn expand_degraded_memo_serves_only_from_retained_plans() {
-        let nav = session_nav();
-        // Without reuse_plans there is never a retained plan: rung 1 must
-        // decline so the ladder drops to the static rung.
-        let mut fresh = Session::new(&nav, CostParams::default());
-        fresh.expand(NavNodeId::ROOT).unwrap();
-        assert!(fresh.expand_degraded_memo(NavNodeId::ROOT).is_none());
-
-        // With reuse_plans, the first exact expand retains the plan and the
-        // memo rung answers follow-ups with a valid cut.
-        let params = CostParams {
-            reuse_plans: true,
-            ..CostParams::default()
-        };
-        let mut s = Session::new(&nav, params);
-        s.expand(NavNodeId::ROOT).unwrap();
-        if s.component_size(NavNodeId::ROOT) > 1 {
-            let revealed = s
-                .expand_degraded_memo(NavNodeId::ROOT)
-                .expect("retained plan present")
-                .expect("memo cut applies");
-            assert!(!revealed.is_empty());
-            for &n in &revealed {
-                assert!(s.active().is_visible(n));
-            }
-        }
-        // Hidden nodes keep their typed error even on the memo rung.
-        let hidden = nav.iter_preorder().find(|&n| !s.active().is_visible(n));
-        if let Some(hidden) = hidden {
-            assert!(matches!(
-                s.expand_degraded_memo(hidden),
-                Some(Err(EdgeCutError::NotAComponentRoot(_)))
             ));
         }
     }

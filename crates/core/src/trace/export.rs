@@ -259,12 +259,7 @@ pub fn prometheus_text_views(views: &[MetricsView]) -> String {
             help: "EXPANDs answered by the graceful-degradation ladder, \
                    by rung (DESIGN.md \u{a7}5f).",
             kind: "counter",
-            series: |s| {
-                vec![
-                    ("rung=\"myopic\"", s.degraded_myopic),
-                    ("rung=\"static\"", s.degraded_static),
-                ]
-            },
+            series: |s| vec![("rung=\"static\"", s.degraded_static)],
         },
         Family {
             metric: "bionav_shed_expands_total",
@@ -302,7 +297,7 @@ pub fn prometheus_text_views(views: &[MetricsView]) -> String {
         },
         Family {
             metric: "bionav_admission_limit",
-            help: "Admission-gate in-flight EXPAND cap (0 = ungated).",
+            help: "Admission-gate in-flight EXPAND cap.",
             kind: "gauge",
             series: |s| vec![("", s.admission_limit)],
         },

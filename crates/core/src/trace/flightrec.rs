@@ -49,8 +49,10 @@ pub struct RequestCtx {
     /// The packed shard session id the request concerns, if any.
     pub session: Option<u64>,
     /// Absolute deadline in trace-epoch nanoseconds (0 = none). The
-    /// engine's degradation ladder treats an elapsed deadline like an
-    /// exhausted per-expand budget.
+    /// engine rejects an expired one at the door and answers an EXPAND
+    /// whose deadline is within
+    /// [`DEADLINE_HEADROOM_NS`](crate::engine::DEADLINE_HEADROOM_NS) with
+    /// the static show-all-children cut.
     pub deadline_ns: u64,
 }
 
@@ -129,14 +131,13 @@ impl Verb {
     }
 }
 
-/// Degradation-rung codes deposited by [`note_rung`].
-pub const RUNG_MYOPIC: u8 = 1;
-/// See [`RUNG_MYOPIC`].
+/// Degradation-rung code deposited by [`note_rung`]: the static
+/// show-all-children cut. It stays 2 (1 was a since-removed rung), so codes
+/// in existing dumps keep their meaning.
 pub const RUNG_STATIC: u8 = 2;
 
 fn rung_name(code: u8) -> &'static str {
     match code {
-        RUNG_MYOPIC => "myopic",
         RUNG_STATIC => "static",
         _ => "",
     }
@@ -202,7 +203,7 @@ pub struct RawSummary {
     pub shard_p1: u16,
     /// 0 = no cache probe, 1 = hit, 2 = miss.
     pub cache: u8,
-    /// Degradation rung ([`RUNG_MYOPIC`] / [`RUNG_STATIC`]; 0 = exact).
+    /// Degradation rung ([`RUNG_STATIC`]; 0 = exact).
     pub rung: u8,
     /// Typed shed reason ([`SHED_QUEUE`] / [`SHED_DEADLINE`]; 0 = not
     /// shed).
@@ -259,7 +260,7 @@ pub struct FlightEntry {
 }
 
 impl FlightEntry {
-    /// `"myopic"` / `"static"` / `""`.
+    /// `"static"` / `""`.
     pub fn rung_name(&self) -> &'static str {
         rung_name(self.rung)
     }
@@ -460,7 +461,7 @@ pub struct FlightRecord {
     pub shard: i64,
     /// `"hit"` / `"miss"` / `""` (no cache probe).
     pub cache: String,
-    /// `"myopic"` / `"static"` / `""` (exact answer).
+    /// `"static"` / `""` (exact answer).
     pub rung: String,
     /// Shed reason name, `""` when the request was not shed.
     pub shed: String,
@@ -752,8 +753,7 @@ pub fn note_cache(hit: bool) {
 #[cfg(interleave)]
 pub fn note_cache(_hit: bool) {}
 
-/// Note the degradation rung that answered ([`RUNG_MYOPIC`] /
-/// [`RUNG_STATIC`]).
+/// Note the degradation rung that answered ([`RUNG_STATIC`]).
 #[cfg(not(interleave))]
 pub fn note_rung(rung: u8) {
     with_active(|p| p.rung = rung);
@@ -1056,7 +1056,7 @@ mod tests {
                 // The outer scope wins; no new id is minted.
                 assert_eq!(current_request_id(), 0xABCD_0001);
             }
-            note_rung(RUNG_MYOPIC);
+            note_rung(RUNG_STATIC);
             note_stage(Stage::Solve, 3_000);
         }
         assert_eq!(current_request_id(), 0, "scope closed");
@@ -1067,7 +1067,7 @@ mod tests {
             .find(|e| e.request_id == 0xABCD_0001)
             .expect("summary recorded");
         assert_eq!(mine.verb, Verb::Expand);
-        assert_eq!(mine.rung_name(), "myopic");
+        assert_eq!(mine.rung_name(), "static");
         assert_eq!(mine.stage_us[Stage::Solve as usize], 3);
     }
 

@@ -99,8 +99,8 @@ pub enum Stage {
     /// Waiting to acquire the tree-cache or session-table lock.
     LockWait = 10,
     /// An EXPAND answered by the graceful-degradation ladder (DESIGN.md
-    /// §5f) instead of the exact planner — the span covers the degraded
-    /// rung (retained-memo myopic cut or static show-all-children cut).
+    /// §5f) instead of the exact planner — the span covers the static
+    /// show-all-children cut that answered.
     Degraded = 11,
     /// First-touch materialization of a lazy navigation-tree subtree's
     /// result/subtree bitsets (DESIGN.md §5g).

@@ -306,8 +306,12 @@ fn prometheus_exposition_has_types_and_monotone_buckets() {
     assert!(text.contains("bionav_stage_latency_seconds_count{stage=\"partition\"} 1"));
     assert!(text.contains("le=\"+Inf\""));
     // The fault plane is silent on this clean path but still exposed.
-    assert!(text.contains("bionav_degraded_expands_total{rung=\"myopic\"} 0"));
     assert!(text.contains("bionav_degraded_expands_total{rung=\"static\"} 0"));
+    let rungs = text
+        .lines()
+        .filter(|l| l.starts_with("bionav_degraded_expands_total{"))
+        .count();
+    assert_eq!(rungs, 1, "the static cut is the only degraded rung");
     assert!(text.contains("bionav_shed_expands_total 0"));
 
     // Cumulative histogram buckets must be monotone non-decreasing.

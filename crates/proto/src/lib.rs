@@ -56,8 +56,9 @@ pub struct WireCtx {
     /// Packed shard session id the request concerns (0 = none).
     pub session: u64,
     /// Absolute deadline in server trace-epoch nanoseconds (0 = none).
-    /// When set, the engine's degradation ladder treats an elapsed
-    /// deadline exactly like an exhausted per-expand budget.
+    /// When set, the engine rejects an expired request at the door and
+    /// answers an EXPAND close to its deadline with the static
+    /// show-all-children cut.
     pub deadline_ns: u64,
 }
 
@@ -138,7 +139,8 @@ pub enum Reply {
     Expanded {
         /// Nodes revealed by the expansion.
         revealed: Vec<WireNode>,
-        /// Whether the engine degraded to a cheaper cut (shed/myopic).
+        /// Whether the engine answered with the static show-all-children
+        /// cut (deadline inside headroom, or an armed failpoint).
         degraded: bool,
     },
     /// SHOWRESULTS succeeded.

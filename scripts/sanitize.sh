@@ -59,7 +59,9 @@ tsan)
         || skip "rust-src not installed; rustup +nightly component add rust-src"
     host="$(rustc +nightly -vV | sed -n 's/^host: //p')"
     echo "== tsan: engine + session + shard tier concurrency tests (scale $scale, $host) =="
-    # shard:: exercises the sharded tier (per-shard engines, worker pools,
+    # engine:: includes admission_gate_accounting_balances_under_concurrency
+    # (four threads racing through one free admission-gate slot). shard::
+    # exercises the sharded tier (per-shard engines, worker pools,
     # cross-shard routing) under race instrumentation; its corpus fixtures
     # shrink through the same scale env var.
     BIONAV_SANITIZER_SCALE="$scale" \
