@@ -8,7 +8,7 @@ use std::hint::black_box;
 
 use bionav_bench::build_workload;
 use bionav_core::edgecut::heuristic::expand_component;
-use bionav_core::edgecut::partition::partition_until;
+use bionav_core::edgecut::partition::{partition_until, reference};
 use bionav_core::{CostParams, NavNodeId};
 
 fn bench_scale() -> f64 {
@@ -37,15 +37,21 @@ fn bench_expand(c: &mut Criterion) {
     group.finish();
 }
 
-/// The partitioning stage alone (the non-exponential half of the heuristic).
+/// The partitioning stage alone (the non-exponential half of the heuristic):
+/// the shipped ladder search beside the linear ladder walk it replaced, on
+/// the same components, with the same partitions out. Both arms start from
+/// a fresh scratch arena per call.
 fn bench_partition(c: &mut Criterion) {
     let workload = build_workload(bench_scale());
     let mut group = c.benchmark_group("k_partition");
     for name in ["prothymosin", "follistatin", "lbetat2"] {
         let run = workload.run_query(name);
         let comp: Vec<NavNodeId> = run.nav.iter_preorder().collect();
-        group.bench_with_input(BenchmarkId::from_parameter(name), &comp, |b, comp| {
+        group.bench_with_input(BenchmarkId::new("search", name), &comp, |b, comp| {
             b.iter(|| partition_until(black_box(&run.nav), black_box(comp), 10));
+        });
+        group.bench_with_input(BenchmarkId::new("linear", name), &comp, |b, comp| {
+            b.iter(|| reference::partition_until(black_box(&run.nav), black_box(comp), 10));
         });
     }
     group.finish();

@@ -422,22 +422,24 @@ fn reduced_parent(nav: &NavigationTree, part: &Partition, map: &NodeMap) -> usiz
         // below the component root, so the nav parent always exists
         .expect("non-root partitions hang below the component root");
     map.get(up.index())
-        // lint: allow(no-unwrap) — the stamped map covers every node of the
-        // component by construction (see NodeMap::stamp_component)
+        // lint: allow(no-unwrap) — plan_component_with stamps every node of
+        // every partition, and the partitions cover the component
         .expect("the parent node belongs to some partition of the same component") as usize
 }
 
 /// The historical two-pass Heuristic-ReducedOpt pipeline, kept verbatim as
 /// the behavioral reference for the equivalence test-suite
-/// (`tests/plan_equivalence.rs`). **Not used in serving** — it runs
-/// `partition_until` twice per planned expansion and solves with throwaway
-/// memos, which is exactly the tail-latency bug the single-pass pipeline
-/// replaces. Do not "optimize" this module; its value is fidelity to the
-/// pre-optimization semantics.
+/// (`tests/plan_equivalence.rs`). **Not used in serving** — it runs the
+/// linear-ladder [`partition::reference::partition_until`] twice per
+/// planned expansion and solves with throwaway memos, which is exactly the
+/// tail-latency bug the single-pass pipeline replaces. Do not "optimize"
+/// this module; its value is fidelity to the pre-optimization semantics.
+///
+/// [`partition::reference::partition_until`]: crate::edgecut::partition::reference::partition_until
 #[doc(hidden)]
 pub mod reference {
     use super::*;
-    use crate::edgecut::partition::partition_until;
+    use crate::edgecut::partition::reference::partition_until;
 
     /// Two-pass [`super::plan_component`]: expand, then re-partition and
     /// re-solve to retain the plan.
@@ -589,7 +591,7 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::active::ActiveTree;
-    use crate::edgecut::partition::partition_until;
+    use crate::edgecut::partition::{fill_ladder, partition_component, partition_until};
     use bionav_medline::{Citation, CitationId, CitationStore};
     use bionav_mesh::{ConceptHierarchy, Descriptor, DescriptorId, TreeNumber};
 
@@ -638,6 +640,36 @@ mod tests {
                 results.push(CitationId(next));
                 next += 1;
             }
+        }
+        NavigationTree::build(&h, &store, &results)
+    }
+
+    /// A root with `leaves` top-level concepts of `per_leaf` citations each.
+    fn star_nav(leaves: u32, per_leaf: u32) -> NavigationTree {
+        let descs: Vec<Descriptor> = (1..=leaves)
+            .map(|i| {
+                Descriptor::new(
+                    DescriptorId(i),
+                    format!("L{i}"),
+                    vec![tn(&format!("A{i:02}"))],
+                )
+            })
+            .collect();
+        let h = ConceptHierarchy::from_descriptors(&descs).unwrap();
+        let mut store = CitationStore::new();
+        let mut results = Vec::new();
+        for i in 0..leaves * per_leaf {
+            let id = CitationId(i + 1);
+            store
+                .insert(Citation::new(
+                    id,
+                    "t",
+                    vec![],
+                    vec![DescriptorId(i / per_leaf + 1)],
+                    vec![],
+                ))
+                .unwrap();
+            results.push(id);
         }
         NavigationTree::build(&h, &store, &results)
     }
@@ -891,6 +923,40 @@ mod tests {
             0,
             "retained-plan cuts must not re-solve"
         );
+
+        // The threshold search stays logarithmic in the ladder length. On a
+        // star of equal leaves only the top rungs leave ≤ k parts, so a
+        // linear walk up the ladder would exceed the bound.
+        let star = star_nav(12, 3);
+        let comp: Vec<NavNodeId> = star.iter_preorder().collect();
+        let total: u64 = comp
+            .iter()
+            .map(|&n| u64::from(star.results_count(n)).max(1))
+            .sum();
+        for k in [2usize, 4, 6] {
+            let params = CostParams::default().with_max_partitions(k);
+            let mut ladder = Vec::new();
+            fill_ladder(&mut ladder, total, k);
+            let bound = u64::from(ladder.len().next_power_of_two().trailing_zeros()) + 1;
+            counters::reset();
+            plan_component(&star, &comp, &params).expect("expands");
+            assert_eq!(counters::partition_runs(), 1);
+            let passes = counters::cluster_passes();
+            assert!(
+                passes <= bound,
+                "k={k}: {passes} passes over a {}-rung ladder",
+                ladder.len()
+            );
+            let linear = ladder
+                .iter()
+                .position(|&m| partition_component(&star, &comp, m).len() <= k)
+                .expect("the last rung qualifies")
+                + 1;
+            assert!(
+                linear as u64 > bound,
+                "k={k}: the fixture must separate the search from a linear walk"
+            );
+        }
     }
 
     #[test]

@@ -24,33 +24,44 @@ pub use partition::{partition_component, partition_until, Partition};
 
 /// Thread-local instrumentation counters for the EXPAND pipeline.
 ///
-/// The single-pass planning contract (ISSUE 2) is *load-bearing*: a fresh
-/// EXPAND must run exactly one [`partition_until`] loop and one reduced
-/// solve, and a retained-plan EXPAND must run zero partitionings. These
-/// counters let tests assert that contract without instrumenting release
-/// structures — they are `thread_local` `Cell`s, so they cost two
-/// increments on the hot path, add no locking, and keep every navigation
-/// type `Send + Sync` (the counters live in thread-local statics, not in
-/// any struct).
+/// The single-pass planning contract is *load-bearing*: a fresh
+/// EXPAND must run exactly one [`partition_until`] search and one reduced
+/// solve, and a retained-plan EXPAND must run zero partitionings. The
+/// search itself must stay logarithmic in the threshold ladder, so the
+/// clustering passes inside it are counted too. These counters let tests
+/// assert that contract without instrumenting release structures — they
+/// are `thread_local` `Cell`s, so they cost a few increments on the hot
+/// path, add no locking, keep every navigation type `Send + Sync` (the
+/// counters live in thread-local statics, not in any struct), and add no
+/// exported metric series.
 pub mod counters {
     use std::cell::Cell;
 
     thread_local! {
         static PARTITION_RUNS: Cell<u64> = const { Cell::new(0) };
+        static CLUSTER_PASSES: Cell<u64> = const { Cell::new(0) };
         static PLAN_SOLVES: Cell<u64> = const { Cell::new(0) };
     }
 
-    /// Resets both counters for the current thread.
+    /// Resets every counter for the current thread.
     pub fn reset() {
         PARTITION_RUNS.with(|c| c.set(0));
+        CLUSTER_PASSES.with(|c| c.set(0));
         PLAN_SOLVES.with(|c| c.set(0));
     }
 
     /// Number of `partition_until` pipeline runs on this thread since the
-    /// last [`reset`]. Each run covers the whole M-stepping loop, so one
+    /// last [`reset`]. Each run covers the whole threshold search, so one
     /// fresh plan counts as exactly one run.
     pub fn partition_runs() -> u64 {
         PARTITION_RUNS.with(|c| c.get())
+    }
+
+    /// Number of bottom-up clustering passes on this thread since the last
+    /// [`reset`]: the probes of every `partition_until` search plus any
+    /// single-threshold `partition_component` calls.
+    pub fn cluster_passes() -> u64 {
+        CLUSTER_PASSES.with(|c| c.get())
     }
 
     /// Number of fresh reduced-problem solves on this thread since the
@@ -62,6 +73,10 @@ pub mod counters {
 
     pub(crate) fn note_partition_run() {
         PARTITION_RUNS.with(|c| c.set(c.get() + 1));
+    }
+
+    pub(crate) fn note_cluster_pass() {
+        CLUSTER_PASSES.with(|c| c.set(c.get() + 1));
     }
 
     pub(crate) fn note_plan_solve() {

@@ -15,14 +15,44 @@
 //! matters for the (possibly empty) root and keeps zero-weight chains from
 //! producing unbounded partition counts.
 //!
+//! # Searching the M ladder
+//!
+//! The reduction loop's thresholds form a fixed ladder: `M₀ = max(W/k, 1)`,
+//! then `M + max(M/7, 1)` while below `W`, then `W` itself. Walking it
+//! linearly stops at the first rung whose pass leaves ≤ `k` partitions.
+//! [`partition_until_in`] binary-searches the rung index instead, which
+//! stops at the same rung because the part count never increases as `M`
+//! rises:
+//!
+//! * Call a partition *valid for `M`* when every part is connected and
+//!   weighs ≤ `M` or is a single node. A partition valid for `M` is valid
+//!   for every larger `M`, so the minimum number of parts over valid
+//!   partitions is non-increasing in `M`.
+//! * One pass attains that minimum. A node heavier than `M` is a singleton
+//!   in every valid partition; the pass isolates it too, because its
+//!   cluster stays above `M` until every child is detached, and a parent
+//!   detaches such a cluster before any lighter one. On the pieces left
+//!   between those nodes every weight is ≤ `M`, and there Kundu & Misra's
+//!   exchange argument applies: detaching the heaviest child clusters
+//!   first leaves the lightest possible cluster attached upward with the
+//!   fewest detachments.
+//!
+//! The last rung `W` always qualifies (no cluster outweighs the whole
+//! component, so nothing detaches), so the search needs at most
+//! ⌈log₂ L⌉ passes over an `L`-rung ladder, plus one re-run of the
+//! accepted rung when it was not the last one probed. The linear walk
+//! survives only as the test oracle [`reference::partition_until`];
+//! `tests/plan_equivalence.rs` checks search ≡ linear and the monotone part
+//! count on generated trees.
+//!
 //! # Allocation discipline
 //!
-//! [`partition_until`] runs the clustering pass many times while it steps
-//! `M`; on MeSH-scale components the per-pass `HashMap` membership index
-//! and fresh buffers used to dominate fresh-EXPAND latency. The `*_in`
-//! variants therefore thread a [`NavScratch`] arena (DESIGN.md §5c)
-//! through the pass: membership is an epoch-stamped node-indexed map, the
-//! cluster buffers are reused across passes, and only the **final** pass
+//! Each call stamps component membership in the [`NavScratch`]'s
+//! [`NodeMap`] once and builds a component-local child CSR (offsets into
+//! a flat array of component indices) plus the local node weights. A pass
+//! then touches only those arrays: it copies the child lists into a work
+//! buffer, walks the component in reverse pre-order, and never probes a
+//! non-member child or re-stamps the map. Only the accepted pass
 //! materializes [`Partition`] values. The plain entry points wrap the
 //! `*_in` forms with a throwaway arena and produce bit-identical output.
 
@@ -45,69 +75,92 @@ fn node_weight(nav: &NavigationTree, n: NavNodeId) -> u64 {
     u64::from(nav.results_count(n)).max(1)
 }
 
-/// Runs one bottom-up clustering pass with threshold `max_weight`.
-///
-/// On return `map` holds the component membership index (node slot →
-/// component index, stamped for the current epoch), and `arena.detached`
-/// holds the component indices of the partition roots — the component root
-/// (index 0) last. `arena.cluster_weight` / `arena.cluster_children` are
-/// pass-local working state.
-fn cluster_pass(
+/// Stamps component membership (node slot → component index) into `map`
+/// and builds the component-local child CSR and node weights in `arena`.
+/// Returns the component weight `W(C)`.
+fn load_component(
     nav: &NavigationTree,
     comp: &[NavNodeId],
-    max_weight: u64,
     map: &mut NodeMap,
     arena: &mut PartitionArena,
-) {
-    // Epoch-stamped membership: node slot -> component index.
+) -> u64 {
     map.begin(nav.len());
     for (i, &n) in comp.iter().enumerate() {
         map.set(n.index(), i as u32);
     }
+    arena.kid_start.clear();
+    arena.kids.clear();
+    arena.weight.clear();
+    let mut total = 0;
+    for &n in comp {
+        arena.kid_start.push(arena.kids.len() as u32);
+        arena
+            .kids
+            .extend(nav.children(n).iter().filter_map(|c| map.get(c.index())));
+        let w = node_weight(nav, n);
+        arena.weight.push(w);
+        total += w;
+    }
+    arena.kid_start.push(arena.kids.len() as u32);
+    // Every slot is written (children before parents) before it is read.
+    arena.cluster_weight.resize(comp.len(), 0);
+    total
+}
 
-    // cluster_weight[i]: weight of the still-attached cluster rooted at
-    // comp[i]; cluster_children[i]: attached child cluster roots.
-    if arena.cluster_weight.len() < comp.len() {
-        arena.cluster_weight.resize(comp.len(), 0);
-        arena.cluster_children.resize(comp.len(), Vec::new());
-    }
-    for (i, &n) in comp.iter().enumerate() {
-        arena.cluster_weight[i] = node_weight(nav, n);
-        arena.cluster_children[i].clear();
-    }
-    arena.detached.clear();
+/// Runs one bottom-up clustering pass with threshold `max_weight` over the
+/// component loaded by [`load_component`].
+///
+/// On return `arena.detached` holds the component indices of the partition
+/// roots — the component root (index 0) last.
+fn cluster_pass(arena: &mut PartitionArena, max_weight: u64) {
+    counters::note_cluster_pass();
+    let PartitionArena {
+        kid_start,
+        kids,
+        weight,
+        cluster_weight,
+        work,
+        detached,
+        ..
+    } = arena;
+    work.clear();
+    work.extend_from_slice(kids);
+    detached.clear();
 
     // Pre-order guarantees children come after parents; process in reverse.
-    for i in (0..comp.len()).rev() {
-        for &c in nav.children(comp[i]) {
-            if let Some(ci) = map.get(c.index()) {
-                let ci = ci as usize;
-                arena.cluster_children[i].push(ci);
-                arena.cluster_weight[i] += arena.cluster_weight[ci];
-            }
-        }
-        while arena.cluster_weight[i] > max_weight && !arena.cluster_children[i].is_empty() {
+    // work[start..end] holds node i's still-attached child cluster roots.
+    for i in (0..weight.len()).rev() {
+        let start = kid_start[i] as usize;
+        let mut end = kid_start[i + 1] as usize;
+        let mut w = weight[i]
+            + work[start..end]
+                .iter()
+                .map(|&c| cluster_weight[c as usize])
+                .sum::<u64>();
+        while w > max_weight && start < end {
             // Detach the heaviest child cluster as a finished partition.
-            // `max_by_key` keeps the *last* maximum on ties, matching the
-            // original implementation's tie-breaking exactly.
-            let (pos, &heaviest) = arena.cluster_children[i]
+            // `max_by_key` keeps the *last* maximum on ties, and moving the
+            // segment's last live slot into the hole is `Vec::swap_remove`,
+            // so every tie breaks as in `reference`'s per-node lists.
+            let (pos, &heaviest) = work[start..end]
                 .iter()
                 .enumerate()
-                .max_by_key(|(_, &c)| arena.cluster_weight[c])
+                .max_by_key(|(_, &c)| cluster_weight[c as usize])
                 // lint: allow(no-unwrap) — the while condition just checked
-                // cluster_children[i] is non-empty
+                // that the live segment is non-empty
                 .expect("non-empty");
-            arena.cluster_children[i].swap_remove(pos);
-            let w = arena.cluster_weight[heaviest];
-            arena.cluster_weight[i] -= w;
-            arena.detached.push(heaviest);
+            end -= 1;
+            work[start + pos] = work[end];
+            w -= cluster_weight[heaviest as usize];
+            detached.push(heaviest as usize);
         }
+        cluster_weight[i] = w;
     }
-    arena.detached.push(0); // the root's remaining cluster
+    detached.push(0); // the root's remaining cluster
 }
 
 /// Materializes the partitions recorded in `arena.detached` by the most
-/// recent [`cluster_pass`] over the same `comp`/`map` state.
+/// recent clustering pass over the same `comp`/`map` state.
 fn materialize(
     nav: &NavigationTree,
     comp: &[NavNodeId],
@@ -190,22 +243,40 @@ pub fn partition_component_in(
     scratch: &mut NavScratch,
 ) -> Vec<Partition> {
     assert!(!comp.is_empty(), "cannot partition an empty component");
-    let max_weight = max_weight.max(1);
     let (map, arena) = scratch.parts();
-    cluster_pass(nav, comp, max_weight, map, arena);
+    load_component(nav, comp, map, arena);
+    cluster_pass(arena, max_weight.max(1));
     materialize(nav, comp, map, arena)
 }
 
-/// The paper's reduction loop: start from `M = W(C)/k` and increase `M`
-/// gradually until at most `k` partitions are obtained.
+/// Fills `ladder` with the reduction loop's thresholds for a component of
+/// weight `total` and budget `k`: `max(W/k, 1)`, then steps of
+/// `max(M/7, 1)` while below `W`, then `W`. Always at least two rungs.
+pub(crate) fn fill_ladder(ladder: &mut Vec<u64>, total: u64, k: usize) {
+    ladder.clear();
+    let mut m = (total / k as u64).max(1);
+    loop {
+        ladder.push(m);
+        // 15% steps track the smallest M reaching ≤ k reasonably closely,
+        // which keeps the reduced tree as fine-grained as allowed.
+        m = (m + m / 7).max(m + 1);
+        if m >= total {
+            ladder.push(total.max(1));
+            return;
+        }
+    }
+}
+
+/// The paper's reduction loop: the smallest threshold on the ladder from
+/// `M = W(C)/k` to `W(C)` that leaves at most `k` partitions.
 pub fn partition_until(nav: &NavigationTree, comp: &[NavNodeId], k: usize) -> Vec<Partition> {
     let mut scratch = NavScratch::new();
     partition_until_in(nav, comp, k, &mut scratch)
 }
 
-/// [`partition_until`] with a caller-owned scratch arena. Intermediate
-/// `M`-steps only count detached clusters; partitions are materialized once
-/// for the accepted threshold, so the loop allocates nothing per step.
+/// [`partition_until`] with a caller-owned scratch arena. Binary-searches
+/// the ladder (see the module docs); probes only count detached clusters,
+/// and partitions are materialized once for the accepted threshold.
 pub fn partition_until_in(
     nav: &NavigationTree,
     comp: &[NavNodeId],
@@ -215,20 +286,121 @@ pub fn partition_until_in(
     assert!(k >= 1);
     assert!(!comp.is_empty(), "cannot partition an empty component");
     counters::note_partition_run();
-    let total: u64 = comp.iter().map(|&n| node_weight(nav, n)).sum();
-    let mut m = (total / k as u64).max(1);
     let (map, arena) = scratch.parts();
-    loop {
-        cluster_pass(nav, comp, m.max(1), map, arena);
+    let total = load_component(nav, comp, map, arena);
+    fill_ladder(&mut arena.ladder, total, k);
+    // Smallest qualifying rung index; the last rung always qualifies.
+    let (mut lo, mut hi) = (0, arena.ladder.len() - 1);
+    let mut probed = None;
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        let m = arena.ladder[mid];
+        cluster_pass(arena, m);
+        probed = Some(mid);
         if arena.detached.len() <= k {
-            return materialize(nav, comp, map, arena);
+            hi = mid;
+        } else {
+            lo = mid + 1;
         }
-        // 15% steps track the smallest M reaching ≤ k reasonably closely,
-        // which keeps the reduced tree as fine-grained as allowed.
-        m = (m + m / 7).max(m + 1);
-        if m >= total {
-            cluster_pass(nav, comp, total.max(1), map, arena);
-            return materialize(nav, comp, map, arena);
+    }
+    if probed != Some(lo) {
+        let m = arena.ladder[lo];
+        cluster_pass(arena, m);
+    }
+    materialize(nav, comp, map, arena)
+}
+
+/// The linear ladder walk with a per-pass membership re-stamp and per-node
+/// child lists, kept verbatim from before the search as the oracle for
+/// [`partition_until`] (`tests/plan_equivalence.rs`) and as the input of
+/// [`heuristic::reference`](crate::edgecut::heuristic::reference). **Not
+/// used in serving.** Do not optimize it; its value is fidelity.
+#[doc(hidden)]
+pub mod reference {
+    use super::*;
+
+    /// Pass-local state of the historical clustering pass.
+    #[derive(Default)]
+    struct LinearState {
+        cluster_weight: Vec<u64>,
+        cluster_children: Vec<Vec<usize>>,
+    }
+
+    /// The historical `cluster_pass`: re-stamps membership and rebuilds
+    /// every node's child-cluster list from `nav` on each call.
+    fn cluster_pass(
+        nav: &NavigationTree,
+        comp: &[NavNodeId],
+        max_weight: u64,
+        map: &mut NodeMap,
+        state: &mut LinearState,
+        detached: &mut Vec<usize>,
+    ) {
+        map.begin(nav.len());
+        for (i, &n) in comp.iter().enumerate() {
+            map.set(n.index(), i as u32);
+        }
+        if state.cluster_weight.len() < comp.len() {
+            state.cluster_weight.resize(comp.len(), 0);
+            state.cluster_children.resize(comp.len(), Vec::new());
+        }
+        for (i, &n) in comp.iter().enumerate() {
+            state.cluster_weight[i] = node_weight(nav, n);
+            state.cluster_children[i].clear();
+        }
+        detached.clear();
+        for i in (0..comp.len()).rev() {
+            for &c in nav.children(comp[i]) {
+                if let Some(ci) = map.get(c.index()) {
+                    let ci = ci as usize;
+                    state.cluster_children[i].push(ci);
+                    state.cluster_weight[i] += state.cluster_weight[ci];
+                }
+            }
+            while state.cluster_weight[i] > max_weight && !state.cluster_children[i].is_empty() {
+                let (pos, &heaviest) = state.cluster_children[i]
+                    .iter()
+                    .enumerate()
+                    .max_by_key(|(_, &c)| state.cluster_weight[c])
+                    // lint: allow(no-unwrap) — the while condition just
+                    // checked cluster_children[i] is non-empty
+                    .expect("non-empty");
+                state.cluster_children[i].swap_remove(pos);
+                let w = state.cluster_weight[heaviest];
+                state.cluster_weight[i] -= w;
+                detached.push(heaviest);
+            }
+        }
+        detached.push(0);
+    }
+
+    /// The linear reduction loop: one full pass per rung, from
+    /// `M = W(C)/k` upward, stopping at the first rung with ≤ `k` parts.
+    pub fn partition_until(nav: &NavigationTree, comp: &[NavNodeId], k: usize) -> Vec<Partition> {
+        assert!(k >= 1);
+        assert!(!comp.is_empty(), "cannot partition an empty component");
+        let mut scratch = NavScratch::new();
+        let mut state = LinearState::default();
+        let total: u64 = comp.iter().map(|&n| node_weight(nav, n)).sum();
+        let mut m = (total / k as u64).max(1);
+        let (map, arena) = scratch.parts();
+        loop {
+            cluster_pass(nav, comp, m.max(1), map, &mut state, &mut arena.detached);
+            if arena.detached.len() <= k {
+                return materialize(nav, comp, map, arena);
+            }
+            m = (m + m / 7).max(m + 1);
+            if m >= total {
+                cluster_pass(
+                    nav,
+                    comp,
+                    total.max(1),
+                    map,
+                    &mut state,
+                    &mut arena.detached,
+                );
+                return materialize(nav, comp, map, arena);
+            }
         }
     }
 }

@@ -1,14 +1,13 @@
 //! Reusable arena scratch state for the EXPAND hot path (DESIGN.md §5c).
 //!
 //! A fresh EXPAND used to allocate a `HashMap<NavNodeId, usize>` per
-//! partitioning pass (and [`partition_until`](crate::edgecut::partition::partition_until)
-//! runs *many* passes while it steps its weight threshold), plus fresh
-//! cluster buffers, a fresh component vector, and a fresh DFS stack — on
-//! MeSH-scale components the hashing and allocation dominated the tail of
-//! the serve bench. [`NavScratch`] replaces all of that with node-indexed,
-//! **epoch-stamped** arrays owned by the caller (a [`Session`] keeps one
-//! for its whole lifetime) and threaded through the partitioner, the
-//! heuristic pipeline, and [`ActiveTree`] expansion:
+//! partitioning call, plus fresh cluster buffers, a fresh component
+//! vector, and a fresh DFS stack — on MeSH-scale components the hashing
+//! and allocation dominated the tail of the serve bench. [`NavScratch`]
+//! replaces all of that with node-indexed, **epoch-stamped** arrays owned
+//! by the caller (a [`Session`] keeps one for its whole lifetime) and
+//! threaded through the partitioner, the heuristic pipeline, and
+//! [`ActiveTree`] expansion:
 //!
 //! * [`NodeMap`] — a node → `u32` map whose reset is an epoch bump, not a
 //!   clear: entries from earlier passes simply fail the stamp comparison.
@@ -16,9 +15,12 @@
 //!   partitioning, then is re-begun to hold partition ids for the
 //!   reduced-problem build (O(1) `reduced_parent` lookups instead of
 //!   per-partition `Vec::contains` scans).
-//! * [`NavScratch`] — the full arena: the map plus cluster-weight /
-//!   cluster-children / detached-roots buffers for the Kundu–Misra
-//!   partitioner and a DFS stack for component reassignment.
+//! * [`NavScratch`] — the full arena: the map plus, for the Kundu–Misra
+//!   partitioner, the component-local child CSR and node weights built
+//!   once per [`partition_until`](crate::edgecut::partition::partition_until)
+//!   call, the per-pass cluster weights, child work buffer and detached
+//!   roots, the threshold ladder, and a DFS stack for component
+//!   reassignment.
 //!
 //! The arena holds no navigation state — only scratch capacity — so it is
 //! deliberately *not* serialized with sessions and is rebuilt empty on
@@ -76,13 +78,23 @@ impl NodeMap {
 }
 
 /// Reused buffers for the bottom-up partitioner and active-tree expansion.
-/// All state is pass-local; callers overwrite before reading.
+/// All state is call- or pass-local; callers overwrite before reading.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PartitionArena {
+    /// Component-local child CSR: the children of component index `i` are
+    /// `kids[kid_start[i]..kid_start[i + 1]]`, in navigation order.
+    pub(crate) kid_start: Vec<u32>,
+    /// Component indices of member children, concatenated per node.
+    pub(crate) kids: Vec<u32>,
+    /// Node weight `max(1, |R(n)|)` per component index.
+    pub(crate) weight: Vec<u64>,
     /// Weight of the still-attached cluster rooted at each component index.
     pub(crate) cluster_weight: Vec<u64>,
-    /// Attached child cluster roots per component index.
-    pub(crate) cluster_children: Vec<Vec<usize>>,
+    /// Per-pass copy of `kids`; a node's live segment shrinks as it
+    /// detaches child clusters.
+    pub(crate) work: Vec<u32>,
+    /// The weight thresholds the reduction loop may try, ascending.
+    pub(crate) ladder: Vec<u64>,
     /// Component indices of detached partition roots (the component root
     /// last).
     pub(crate) detached: Vec<usize>,

@@ -14,7 +14,13 @@
 //!    solves ([`ReducedPlan::cut_uncached`]) across whole mask cascades;
 //! 3. identical replayed navigations — full-expansion [`Session`] replays
 //!    produce equal action logs and equal [`NavOutcome`] totals against
-//!    reference-driven replays, with plan reuse both off and on.
+//!    reference-driven replays, with plan reuse both off and on;
+//! 4. identical partitions from the binary search over the threshold
+//!    ladder ([`partition::partition_until_in`]) and the linear walk kept
+//!    in [`partition::reference`], on trees of up to 200 nodes whose long
+//!    ladders the small trees above never reach;
+//! 5. a part count that never increases with the threshold `M` — the
+//!    monotonicity the search's exactness rests on.
 //!
 //! Together with the counter-instrumented test in `heuristic.rs` (one
 //! partition run + one solve per fresh EXPAND, zero for retained ones),
@@ -26,6 +32,8 @@ use std::sync::Arc;
 
 use bionav_core::active::ActiveTree;
 use bionav_core::edgecut::heuristic::{self, reference, PlannedCut, ReducedPlan};
+use bionav_core::edgecut::partition;
+use bionav_core::scratch::NavScratch;
 use bionav_core::session::Session;
 use bionav_core::sim::NavOutcome;
 use bionav_core::{CostParams, NavNodeId, NavigationTree, Planner};
@@ -52,6 +60,60 @@ fn tree_spec() -> impl Strategy<Value = TreeSpec> {
         let cites = proptest::collection::vec(0u32..15, n);
         (parents, cites).prop_map(|(parents, cites)| TreeSpec { parents, cites })
     })
+}
+
+/// Larger trees for the partitioner properties: up to 280 concepts, a mix
+/// of long chains and bushy fan-out, and heavy-tailed citation counts with
+/// many zero-citation concepts. Uncited leaves drop out of the navigation
+/// tree, which leaves up to about 200 nodes; uncited inner nodes stay with
+/// the weight floor of 1.
+fn big_tree_spec() -> impl Strategy<Value = TreeSpec> {
+    (2usize..=280).prop_flat_map(|n| {
+        // Mode 0 hangs node i under node i - 1 (a chain link); any other
+        // mode picks a uniformly random earlier node.
+        let parents = proptest::collection::vec((0u8..4, 0usize..n), n - 1).prop_map(|draws| {
+            draws
+                .into_iter()
+                .enumerate()
+                .map(|(j, (mode, r))| if mode == 0 { j } else { r })
+                .collect()
+        });
+        let cites = proptest::collection::vec((0u32..10, 0u32..1000), n).prop_map(|draws| {
+            draws
+                .into_iter()
+                .map(|(tier, r)| match tier {
+                    0..=2 => 0,
+                    3..=6 => 1 + r % 5,
+                    7..=8 => r % 50,
+                    _ => r,
+                })
+                .collect()
+        });
+        (parents, cites).prop_map(|(parents, cites)| TreeSpec { parents, cites })
+    })
+}
+
+/// Components to partition: the whole tree, the whole tree minus a few
+/// hidden subtrees (members with non-member children), and the subtree of
+/// the root's first child (a component rooted below the tree root).
+fn partition_components(nav: &NavigationTree) -> Vec<Vec<NavNodeId>> {
+    let full: Vec<NavNodeId> = nav.iter_preorder().collect();
+    let mut hidden = vec![false; nav.len()];
+    for &n in full.iter().skip(5).step_by(9) {
+        for d in nav.subtree_nodes(n) {
+            hidden[d.index()] = true;
+        }
+    }
+    let holey: Vec<NavNodeId> = full
+        .iter()
+        .copied()
+        .filter(|n| !hidden[n.index()])
+        .collect();
+    let mut out = vec![full, holey];
+    if let Some(&c) = nav.children(NavNodeId::ROOT).first() {
+        out.push(nav.subtree_nodes(c));
+    }
+    out
 }
 
 /// Materializes the spec as a real navigation tree via the MeSH + MEDLINE
@@ -320,6 +382,50 @@ proptest! {
                 let (slow_log, slow_total) = replay_reference(&nav, &params, reuse);
                 prop_assert_eq!(&fast_log, &slow_log, "logs diverge (reuse={})", reuse);
                 prop_assert_eq!(&fast_total, &slow_total, "totals diverge (reuse={})", reuse);
+            }
+        }
+    }
+}
+
+proptest! {
+    /// Property 4: the ladder search returns exactly the partitions of the
+    /// linear walk, for every budget k the solver accepts, on every kind of
+    /// component, with one arena reused across all calls.
+    #[test]
+    fn ladder_search_matches_the_linear_walk(spec in big_tree_spec()) {
+        let nav = build_nav(&spec);
+        let mut scratch = NavScratch::new();
+        for comp in partition_components(&nav) {
+            for k in 2..=19 {
+                let search = partition::partition_until_in(&nav, &comp, k, &mut scratch);
+                let linear = partition::reference::partition_until(&nav, &comp, k);
+                prop_assert_eq!(search, linear, "k={} |comp|={}", k, comp.len());
+            }
+        }
+    }
+
+    /// Property 5: one clustering pass never leaves more parts at a larger
+    /// threshold. Sweeps M from 1 to W(C) in steps of about 6%.
+    #[test]
+    fn part_count_is_non_increasing_in_m(spec in big_tree_spec()) {
+        let nav = build_nav(&spec);
+        let mut scratch = NavScratch::new();
+        for comp in partition_components(&nav) {
+            let total: u64 = comp
+                .iter()
+                .map(|&n| u64::from(nav.results_count(n)).max(1))
+                .sum();
+            let mut prev = usize::MAX;
+            let mut m = 1u64;
+            loop {
+                let count = partition::partition_component_in(&nav, &comp, m, &mut scratch).len();
+                prop_assert!(count <= prev, "M={} gave {} parts after {}", m, count, prev);
+                prev = count;
+                if m >= total {
+                    prop_assert_eq!(count, 1, "M = W(C) leaves one part");
+                    break;
+                }
+                m = (m + m / 16).max(m + 1).min(total);
             }
         }
     }
